@@ -119,7 +119,8 @@ fn main() {
     }
 
     // --- Native fast-path ladder ----------------------------------------
-    // Degree-bucketed, cache-blocked host path (buckets on by default).
+    // Fused sweep at one thread; degree-bucketed, cache-blocked claim
+    // loop above it.
     // The speculative-pick/sequential-repair commit must keep labels
     // bit-identical to the single-thread run at every thread count.
     // Each thread count also gets one *profiled* run (outside the timing

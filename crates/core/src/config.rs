@@ -64,7 +64,7 @@ impl SwapMode {
 }
 
 /// Degree thresholds splitting an iteration's active set into low-,
-/// mid-, and high-degree buckets for the native fast path.
+/// mid-, and high-degree buckets for the native multi-thread claim loop.
 ///
 /// Low-degree vertices (`degree <= low_max`) are cheap and abundant, so
 /// threads claim them in large chunks; mid-degree vertices
@@ -149,14 +149,10 @@ pub struct LpaConfig {
     /// available parallelism. Results are bit-for-bit identical at every
     /// setting; see [`resolve_threads`].
     pub threads: usize,
-    /// Degree-bucketed fast path for the native backend: `Some(..)` (the
-    /// default) routes `lpa_native` through the cache-blocked, dense-
-    /// counter engine with the given bucket thresholds; `None` keeps the
-    /// legacy per-vertex hashtable path. Labels differ between the two
-    /// paths only in tie-breaks (the fast path uses the sequential
-    /// backend's scrambled tie-break; the hashtable path is slot-order
-    /// dependent), but each path is bit-identical across thread counts.
-    pub buckets: Option<BucketThresholds>,
+    /// Degree-bucket thresholds for the native backend's multi-thread
+    /// claim loop. They decide only which thread computes a pick, never
+    /// its value, so results do not depend on them.
+    pub buckets: BucketThresholds,
 }
 
 impl Default for LpaConfig {
@@ -174,7 +170,7 @@ impl Default for LpaConfig {
             device: DeviceConfig::a100(),
             cost: CostModel::default_gpu(),
             threads: 0,
-            buckets: Some(BucketThresholds::default()),
+            buckets: BucketThresholds::default(),
         }
     }
 }
@@ -240,16 +236,15 @@ impl LpaConfig {
         if self.frontier && !self.pruning {
             return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
         }
-        if let Some(b) = self.buckets {
-            if b.low_max == 0 {
-                return Err("bucket threshold low_max must be positive".into());
-            }
-            if b.low_max >= b.mid_max {
-                return Err(format!(
-                    "bucket thresholds must satisfy low_max < mid_max (got {} >= {})",
-                    b.low_max, b.mid_max
-                ));
-            }
+        let b = self.buckets;
+        if b.low_max == 0 {
+            return Err("bucket threshold low_max must be positive".into());
+        }
+        if b.low_max >= b.mid_max {
+            return Err(format!(
+                "bucket thresholds must satisfy low_max < mid_max (got {} >= {})",
+                b.low_max, b.mid_max
+            ));
         }
         self.device.validate()
     }
@@ -321,9 +316,8 @@ impl LpaConfig {
         self
     }
 
-    /// Builder-style setter for the native fast path's degree buckets
-    /// (`None` = legacy per-vertex hashtable path).
-    pub fn with_buckets(mut self, b: Option<BucketThresholds>) -> Self {
+    /// Builder-style setter for the native backend's degree buckets.
+    pub fn with_buckets(mut self, b: BucketThresholds) -> Self {
         self.buckets = b;
         self
     }
@@ -344,7 +338,7 @@ mod tests {
         assert_eq!(c.value_type, ValueType::F32);
         assert!(c.pruning);
         assert!(!c.frontier);
-        assert_eq!(c.buckets, Some(BucketThresholds::default()));
+        assert_eq!(c.buckets, BucketThresholds::default());
         assert!(c.validate().is_ok());
     }
 
@@ -354,26 +348,25 @@ mod tests {
         assert_eq!(b.low_max, 32);
         assert_eq!(b.mid_max, 512);
         let base = LpaConfig::default();
-        assert!(base.with_buckets(None).validate().is_ok());
         assert!(base
-            .with_buckets(Some(BucketThresholds {
+            .with_buckets(BucketThresholds {
                 low_max: 0,
                 mid_max: 8
-            }))
+            })
             .validate()
             .is_err());
         assert!(base
-            .with_buckets(Some(BucketThresholds {
+            .with_buckets(BucketThresholds {
                 low_max: 64,
                 mid_max: 64
-            }))
+            })
             .validate()
             .is_err());
         assert!(base
-            .with_buckets(Some(BucketThresholds {
+            .with_buckets(BucketThresholds {
                 low_max: 4,
                 mid_max: 1024
-            }))
+            })
             .validate()
             .is_ok());
     }

@@ -1,11 +1,11 @@
 //! Disjoint-region shared buffer.
 //!
-//! The native backend keeps all per-vertex hashtables in two global
-//! buffers, exactly like the GPU layout (paper Fig. 2). During one LPA
-//! iteration every vertex is processed by exactly one Rayon task, and the
-//! per-vertex regions `[2·O_i, 2·O_i + 2·D_i)` are pairwise disjoint by
-//! CSR construction — so handing each task a `&mut` view of its own region
-//! is sound even though the buffer itself is shared. Rust cannot see that
+//! The GPU backend keeps all per-vertex hashtables in two global buffers
+//! (paper Fig. 2). During one LPA wave every vertex is processed by
+//! exactly one lane or block, and the per-vertex regions
+//! `[2·O_i, 2·O_i + 2·D_i)` are pairwise disjoint by CSR construction — so
+//! handing each executor a `&mut` view of its own region is sound even
+//! though the buffer itself is shared. Rust cannot see that
 //! through an ordinary `Vec`, hence this small `UnsafeCell` wrapper with
 //! the invariant stated at the single `unsafe` boundary.
 

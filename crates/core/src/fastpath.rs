@@ -1,47 +1,37 @@
-//! Degree-bucketed, cache-blocked multi-core fast path for [`crate::lpa_native`].
+//! The hot loop of [`crate::lpa_native`] (DESIGN.md §10).
 //!
-//! The legacy native path computes each vertex's pick with a per-vertex
-//! open-addressing hashtable carved out of two `2|E|` buffers — faithful
-//! to the paper's GPU kernel, but memory-hungry and hash-bound on a CPU.
-//! This module replaces the hot loop with the layout a host actually
-//! wants (DESIGN.md §10):
+//! Every vertex's pick is the label of maximum accumulated weight among
+//! its neighbours, taken from a dense per-thread `Vec` indexed by label
+//! and reset by generation stamp instead of clearing (`ScratchPad`).
+//! Weight ties go to the **first-touched** label — the first maximum in
+//! CSR neighbour order, GVE-LPA's strict pick — so the argmax is one
+//! strictly-greater scan over the distinct labels seen.
 //!
-//! * **Cache blocks** — each iteration's (shuffled) candidate list is cut
-//!   into blocks of bounded adjacency volume
-//!   ([`nulpa_graph::blocks::candidate_blocks`]), so the CSR words a block
-//!   touches stay L2-resident while its vertices are scanned.
-//! * **Degree buckets** — within a block, candidates are split into
-//!   low/mid/high-degree buckets ([`bucket_partition`]) and threads claim
-//!   work per bucket in bucket-matched chunk sizes (large chunks of cheap
-//!   vertices, hubs one at a time), so a single hub can never serialize a
-//!   chunk of small vertices behind it.
-//! * **Flat counts** — label weights accumulate into a dense per-thread
-//!   `Vec` indexed by label, reset by generation stamp instead of
-//!   clearing (`ScratchPad`). Weight ties are broken exactly like the
-//!   legacy table's `hashtableMaxKey` (first maximal slot in probe-built
-//!   slot order); the slot layout is only simulated when a tie actually
-//!   occurs, so the dense argmax stays hash-free on weighted graphs.
+//! **One thread** runs the fused asynchronous sweep: each shuffled
+//! candidate's pick is computed against the live labels and committed on
+//! the spot. No pick array, no blocks, no buckets.
 //!
-//! **Determinism and trajectory.** The committed trajectory is, by
-//! construction, *exactly* the fully sequential asynchronous sweep over
-//! the shuffled candidate list — the same schedule the reference backend
-//! runs. Threads only ever compute *speculative* picks against the labels
-//! frozen at their block's start; the coordinating thread then commits
-//! the block sequentially in candidate order, and any candidate whose
-//! pick may be stale — one with a neighbour that moved earlier in the
-//! same block — is recomputed on the spot against the live labels. A
-//! speculative pick is used only when it provably equals the serial one,
-//! so labels, ΔN trajectories, and frontier contents are bit-identical at
-//! any `--threads N`, while the shuffled order keeps same-block
-//! neighbours rare enough that almost all picks are served from the
-//! parallel phase.
+//! **Several threads** cut the shuffled candidate list into cache blocks
+//! of bounded adjacency volume ([`nulpa_graph::blocks::candidate_blocks`])
+//! and split each block into low/mid/high-degree buckets
+//! ([`bucket_partition`]). Threads claim bucket chunks (large chunks of
+//! cheap vertices, hubs one at a time) and compute *speculative* picks
+//! against the labels frozen at the block's start; the coordinating
+//! thread then commits the block sequentially in candidate order, and any
+//! candidate with a neighbour that moved earlier in the same block is
+//! recomputed on the spot against the live labels. A speculative pick is
+//! used only when it provably equals the serial one.
+//!
+//! **Determinism.** Either way the committed trajectory is exactly the
+//! fully sequential asynchronous sweep over the shuffled candidate list,
+//! so labels, ΔN trajectories and frontier contents are bit-identical at
+//! any `--threads N`.
 
 use crate::config::BucketThresholds;
 use crate::hostprof::{HostProfData, RunProf, SpanKind, ThreadProf};
 use nulpa_graph::{blocks::candidate_blocks, Csr, VertexId};
-use nulpa_hashtab::{
-    capacity_for_degree, probe_budget, secondary_prime, HashValue, ProbeSeq, ProbeStrategy,
-};
+use nulpa_hashtab::HashValue;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -62,6 +52,18 @@ const MIN_BLOCKS: usize = 64;
 /// Floor for the per-block adjacency budget, in stored edges.
 const MIN_BLOCK_EDGES: usize = 64;
 
+/// Degree bucket of a vertex: 0 (low), 1 (mid) or 2 (high).
+fn bucket_of(degree: usize, t: BucketThresholds) -> usize {
+    let d = degree as u32;
+    if d <= t.low_max {
+        0
+    } else if d <= t.mid_max {
+        1
+    } else {
+        2
+    }
+}
+
 /// Split an ordered candidate list into low/mid/high-degree index
 /// buckets. Returns index lists into `cands`: `degree <= low_max` →
 /// bucket 0, `degree <= mid_max` → bucket 1, else bucket 2. The three
@@ -70,15 +72,7 @@ const MIN_BLOCK_EDGES: usize = 64;
 pub fn bucket_partition(g: &Csr, cands: &[VertexId], t: BucketThresholds) -> [Vec<usize>; 3] {
     let mut buckets: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for (i, &v) in cands.iter().enumerate() {
-        let d = g.degree(v) as u32;
-        let b = if d <= t.low_max {
-            0
-        } else if d <= t.mid_max {
-            1
-        } else {
-            2
-        };
-        buckets[b].push(i);
+        buckets[bucket_of(g.degree(v), t)].push(i);
     }
     buckets
 }
@@ -87,17 +81,12 @@ pub fn bucket_partition(g: &Csr, cands: &[VertexId], t: BucketThresholds) -> [Ve
 /// a slot is live only when its stamp equals the current generation, so
 /// "clearing" between vertices is one counter bump instead of an O(n)
 /// fill. `touched` records the distinct labels seen for the current
-/// vertex so the argmax scan is O(distinct), not O(n).
+/// vertex, in first-touched order, so the argmax scan is O(distinct).
 struct ScratchPad<V> {
     counts: Vec<V>,
     stamp: Vec<u32>,
     gen: u32,
     touched: Vec<u32>,
-    /// Slot-occupancy simulation for the tie-break path (`slot_keys[s]`
-    /// is live iff `slot_stamp[s] == gen`); grown on demand to the
-    /// largest table capacity seen.
-    slot_keys: Vec<u32>,
-    slot_stamp: Vec<u32>,
 }
 
 impl<V: HashValue> ScratchPad<V> {
@@ -107,8 +96,6 @@ impl<V: HashValue> ScratchPad<V> {
             stamp: vec![0; n],
             gen: 0,
             touched: Vec::new(),
-            slot_keys: Vec::new(),
-            slot_stamp: Vec::new(),
         }
     }
 
@@ -119,32 +106,29 @@ impl<V: HashValue> ScratchPad<V> {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             self.stamp.fill(0);
-            self.slot_stamp.fill(0);
             self.gen = 1;
         }
         self.touched.clear();
     }
 }
 
-/// Reusable state for the fast path, created once per `lpa_native` run.
+/// Reusable state for the native sweep, created once per `lpa_native`
+/// run.
 pub(crate) struct FastState<V> {
     threads: usize,
     thresholds: BucketThresholds,
-    /// Probe strategy of the legacy per-vertex tables — replayed by the
-    /// tie-break so both paths pick identical labels.
-    probe: ProbeStrategy,
     /// Upper bound on the per-block adjacency budget (L2 sizing).
     block_edges: usize,
     /// Per-candidate speculative pick (label to adopt, or [`NO_MOVE`]),
     /// indexed like the iteration's candidate list. Written by whichever
     /// thread computed the candidate, read by the committing thread after
-    /// a barrier.
+    /// a barrier. Unused by the single-thread sweep.
     picks: Vec<AtomicU32>,
     /// One scratch pad per thread (index 0 is the coordinating thread).
     scratch: Vec<ScratchPad<V>>,
     /// `moved[v] == block_stamp` iff `v`'s label changed during the
     /// block currently being committed — the staleness test for the
-    /// serial repair path.
+    /// serial repair path. Empty for an unprofiled single-thread run.
     moved: Vec<u64>,
     block_stamp: u64,
     /// Host-profiling recorders (zero-sized no-ops unless the `hostprof`
@@ -154,9 +138,9 @@ pub(crate) struct FastState<V> {
     runprof: RunProf,
 }
 
-/// Frontier-mode bookkeeping threaded through the commit phase; mirrors
-/// the legacy path exactly so worklist contents stay bit-identical to
-/// the dense sweep.
+/// Frontier-mode bookkeeping threaded through the commit: a moving
+/// vertex records itself and CAS-claims worklist pushes for its
+/// neighbours, in commit order.
 pub(crate) struct FrontierCtx<'a> {
     pub queued: &'a [AtomicU8],
     pub worklist: &'a mut Vec<VertexId>,
@@ -169,20 +153,21 @@ impl<V: HashValue> FastState<V> {
         threads: usize,
         thresholds: BucketThresholds,
         block_edges: usize,
-        probe: ProbeStrategy,
         profile: bool,
     ) -> Self {
         let threads = threads.max(1);
         let runprof = RunProf::new(profile);
         let prof = runprof.thread_recorders(threads);
+        // Blocks (and their staleness stamps) exist for the claim/commit
+        // path, and for the profiler's would-be repair count at 1 thread.
+        let blocked = threads > 1 || prof[0].enabled();
         FastState {
             threads,
             thresholds,
-            probe,
             block_edges: block_edges.max(MIN_BLOCK_EDGES),
             picks: Vec::new(),
             scratch: (0..threads).map(|_| ScratchPad::new(n)).collect(),
-            moved: vec![0; n],
+            moved: vec![0; if blocked { n } else { 0 }],
             block_stamp: 0,
             prof,
             runprof,
@@ -218,61 +203,55 @@ impl<V: HashValue> FastState<V> {
         processed: &[AtomicU8],
         mut fr: Option<FrontierCtx<'_>>,
     ) -> usize {
-        let total_edges: usize = candidates.iter().map(|&v| g.degree(v)).sum();
-        let blocks = candidate_blocks(g, candidates, self.budget(total_edges));
-        let buckets: Vec<[Vec<usize>; 3]> = blocks
-            .iter()
-            .map(|b| {
-                let mut bk = bucket_partition(g, &candidates[b.clone()], self.thresholds);
-                for list in bk.iter_mut() {
-                    for i in list.iter_mut() {
-                        *i += b.start;
-                    }
+        if self.threads == 1 && !self.prof[0].enabled() {
+            // The fused sweep: pick against the live labels, commit on
+            // the spot.
+            let scratch = &mut self.scratch[0];
+            let mut changed = 0usize;
+            for &v in candidates {
+                processed[v as usize].store(1, Ordering::Relaxed);
+                if let Some(c) = compute_pick(g, v, pick_less, labels, scratch) {
+                    adopt(g, v, c, labels, processed, &mut fr);
+                    changed += 1;
                 }
-                bk
-            })
-            .collect();
-        if self.picks.len() < candidates.len() {
-            self.picks
-                .resize_with(candidates.len(), || AtomicU32::new(NO_MOVE));
+            }
+            return changed;
         }
 
+        let total_edges: usize = candidates.iter().map(|&v| g.degree(v)).sum();
+        let blocks = candidate_blocks(g, candidates, self.budget(total_edges));
         let mut changed = 0usize;
         let mut repaired = 0u64;
         let mut repair_blocks = 0u32;
         let mut commit_ns = 0u64;
         if self.threads == 1 {
-            let (lead, _) = self.scratch.split_at_mut(1);
-            let lead = &mut lead[0];
+            // Profiled single-thread run: the same fused sweep, cut into
+            // the blocks a multi-thread run would use, so the per-bucket
+            // work and the would-be repairs (the `IterRepairStats`) match
+            // any thread count and the block spans tile the wall time.
+            let lead = &mut self.scratch[0];
             let tp = &mut self.prof[0];
             for (bi, block) in blocks.iter().enumerate() {
                 tp.begin_span();
-                for (k, idxs) in buckets[bi].iter().enumerate() {
-                    for &i in idxs {
-                        let pick =
-                            compute_pick(g, candidates[i], pick_less, self.probe, labels, lead);
-                        self.picks[i].store(pick.unwrap_or(NO_MOVE), Ordering::Relaxed);
-                    }
-                    // Single-threaded runs drain each bucket in one go —
-                    // attribute it as one chunk.
-                    if tp.enabled() && !idxs.is_empty() {
-                        let edges = idxs
-                            .iter()
-                            .map(|&i| g.degree(candidates[i]) as u64)
-                            .sum::<u64>();
-                        tp.count_chunk(k, idxs.len() as u64, edges);
+                let mut work = [(0u64, 0u64); 3];
+                for &v in &candidates[block.clone()] {
+                    let d = g.degree(v);
+                    let w = &mut work[bucket_of(d, self.thresholds)];
+                    w.0 += 1;
+                    w.1 += d as u64;
+                }
+                for (k, &(vertices, edges)) in work.iter().enumerate() {
+                    if vertices > 0 {
+                        tp.count_chunk(k, vertices, edges);
                     }
                 }
-                tp.end_span(SpanKind::Compute, iter, bi as u32);
                 self.block_stamp += 1;
-                tp.begin_span();
                 let (c, rep) = commit_block(
                     g,
                     candidates,
                     block.clone(),
-                    &self.picks,
+                    None,
                     pick_less,
-                    self.probe,
                     labels,
                     processed,
                     lead,
@@ -286,8 +265,23 @@ impl<V: HashValue> FastState<V> {
                 commit_ns += tp.end_span(SpanKind::Commit, iter, bi as u32);
             }
         } else {
+            let buckets: Vec<[Vec<usize>; 3]> = blocks
+                .iter()
+                .map(|b| {
+                    let mut bk = bucket_partition(g, &candidates[b.clone()], self.thresholds);
+                    for list in bk.iter_mut() {
+                        for i in list.iter_mut() {
+                            *i += b.start;
+                        }
+                    }
+                    bk
+                })
+                .collect();
+            if self.picks.len() < candidates.len() {
+                self.picks
+                    .resize_with(candidates.len(), || AtomicU32::new(NO_MOVE));
+            }
             let t = self.threads;
-            let probe = self.probe;
             let cursors: Vec<[AtomicUsize; 3]> =
                 blocks.iter().map(|_| Default::default()).collect();
             let barrier = Barrier::new(t);
@@ -315,7 +309,6 @@ impl<V: HashValue> FastState<V> {
                                 &cursors[bi],
                                 picks,
                                 pick_less,
-                                probe,
                                 labels,
                                 scratch,
                                 tp,
@@ -335,7 +328,6 @@ impl<V: HashValue> FastState<V> {
                         &cursors[bi],
                         picks,
                         pick_less,
-                        probe,
                         labels,
                         lead,
                         plead,
@@ -351,9 +343,8 @@ impl<V: HashValue> FastState<V> {
                         g,
                         candidates,
                         block.clone(),
-                        picks,
+                        Some(picks),
                         pick_less,
-                        probe,
                         labels,
                         processed,
                         lead,
@@ -393,7 +384,6 @@ fn compute_block<V: HashValue>(
     cursors: &[AtomicUsize; 3],
     picks: &[AtomicU32],
     pick_less: bool,
-    probe: ProbeStrategy,
     labels: &[AtomicU32],
     scratch: &mut ScratchPad<V>,
     tp: &mut ThreadProf,
@@ -407,7 +397,7 @@ fn compute_block<V: HashValue>(
             }
             let end = (start + chunk).min(idxs.len());
             for &i in &idxs[start..end] {
-                let pick = compute_pick(g, candidates[i], pick_less, probe, labels, scratch);
+                let pick = compute_pick(g, candidates[i], pick_less, labels, scratch);
                 picks[i].store(pick.unwrap_or(NO_MOVE), Ordering::Relaxed);
             }
             if tp.enabled() {
@@ -422,17 +412,14 @@ fn compute_block<V: HashValue>(
 }
 
 /// Compute one vertex's pick against the current labels: accumulate
-/// neighbour label weights into the dense scratch, then take the
-/// heaviest label. A unique maximum needs no tie-break and is returned
-/// straight off the `touched` scan; on a weight tie the winner is
-/// resolved by [`slot_order_winner`], reproducing the legacy table path
-/// bit-for-bit. Either way the pick is a pure function of the label
-/// state, so it cannot depend on bucket or chunk scheduling.
+/// neighbour label weights into the dense scratch in CSR order, then
+/// take the first maximum in first-touched order (a strictly-greater
+/// scan of `touched`). The pick is a pure function of the label state,
+/// so it cannot depend on bucket or chunk scheduling.
 fn compute_pick<V: HashValue>(
     g: &Csr,
     v: VertexId,
     pick_less: bool,
-    probe: ProbeStrategy,
     labels: &[AtomicU32],
     scratch: &mut ScratchPad<V>,
 ) -> Option<VertexId> {
@@ -451,132 +438,65 @@ fn compute_pick<V: HashValue>(
         scratch.counts[ci] = scratch.counts[ci].add(V::from_weight(w));
     }
     let mut best: Option<(VertexId, V)> = None;
-    let mut tied = false;
     for &c in &scratch.touched {
         let w = scratch.counts[c as usize];
-        match &best {
-            Some((_, bw)) if w > *bw => {
-                best = Some((c, w));
-                tied = false;
-            }
-            Some((_, bw)) if w == *bw => tied = true,
-            None => best = Some((c, w)),
-            _ => {}
+        if best.is_none_or(|(_, bw)| w > bw) {
+            best = Some((c, w));
         }
     }
-    let (mut c_star, _) = best?;
-    if tied {
-        c_star = slot_order_winner(g, v, probe, scratch)
-            .expect("a weight tie implies a non-empty table");
-    }
+    let (c_star, _) = best?;
     let cur = labels[v as usize].load(Ordering::Relaxed);
     (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
 }
 
-/// Tie-break replay of the legacy per-vertex hashtable: rebuild the
-/// table's slot assignment (same capacity `p₁ = nextPow2(d) − 1`, probe
-/// sequences, probe budget and linear fallback as
-/// `TableMut::accumulate`) and rerun `hashtableMaxKey`'s
-/// strictly-greater slot scan over the dense counts — so the *first
-/// maximal slot's* key wins, exactly as on the legacy path.
-///
-/// Two replays are skipped because they cannot change the outcome:
-/// weights (per label both paths add the same values in the same CSR
-/// order, so `counts[label]` already equals the table cell
-/// bit-for-bit), and duplicate insertions — a repeated key re-walks its
-/// original probe path over slots that are still occupied, so it always
-/// lands on its existing slot and never claims a new one. Slot
-/// assignment is therefore a function of the *distinct* labels in
-/// first-occurrence CSR order, which is exactly `scratch.touched`.
-fn slot_order_winner<V: HashValue>(
+/// Commit `v`'s move to label `c`: store it, clear the neighbours'
+/// `processed` flags, and — in frontier mode — record the mover and
+/// CAS-claim the neighbours' worklist pushes.
+fn adopt(
     g: &Csr,
     v: VertexId,
-    probe: ProbeStrategy,
-    scratch: &mut ScratchPad<V>,
-) -> Option<VertexId> {
-    let p1 = capacity_for_degree(g.degree(v));
-    if p1 == 0 {
-        return None;
-    }
-    let p2 = secondary_prime(p1);
-    if scratch.slot_keys.len() < p1 {
-        scratch.slot_keys.resize(p1, 0);
-        scratch.slot_stamp.resize(p1, 0);
-    }
-    let gen = scratch.gen;
-    let budget = probe_budget(p1);
-    for &key in &scratch.touched {
-        let mut seq = ProbeSeq::new(probe, key, p1, p2);
-        let mut placed = false;
-        let mut last = 0usize;
-        for _ in 0..budget {
-            let s = seq.slot();
-            last = s;
-            if scratch.slot_stamp[s] != gen {
-                scratch.slot_stamp[s] = gen;
-                scratch.slot_keys[s] = key;
-                placed = true;
-                break;
-            }
-            if scratch.slot_keys[s] == key {
-                placed = true;
-                break;
-            }
-            seq.advance();
-        }
-        if !placed {
-            // linear fallback from the last probed slot, as in accumulate
-            for off in 1..=p1 {
-                let s = (last + off) % p1;
-                if scratch.slot_stamp[s] != gen {
-                    scratch.slot_stamp[s] = gen;
-                    scratch.slot_keys[s] = key;
-                    break;
-                }
-                if scratch.slot_keys[s] == key {
-                    break;
+    c: VertexId,
+    labels: &[AtomicU32],
+    processed: &[AtomicU8],
+    fr: &mut Option<FrontierCtx<'_>>,
+) {
+    labels[v as usize].store(c, Ordering::Relaxed);
+    match fr {
+        Some(ctx) => {
+            ctx.movers.push(v);
+            for &j in g.neighbor_ids(v) {
+                processed[j as usize].store(0, Ordering::Relaxed);
+                if ctx.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
+                    ctx.worklist.push(j);
                 }
             }
         }
-    }
-    let mut best: Option<(VertexId, V)> = None;
-    for s in 0..p1 {
-        if scratch.slot_stamp[s] != gen {
-            continue;
-        }
-        let c = scratch.slot_keys[s];
-        let w = scratch.counts[c as usize];
-        match &best {
-            None => best = Some((c, w)),
-            Some((_, bw)) => {
-                if w > *bw {
-                    best = Some((c, w));
-                }
+        None => {
+            for &j in g.neighbor_ids(v) {
+                processed[j as usize].store(0, Ordering::Relaxed);
             }
         }
     }
-    best.map(|(c, _)| c)
 }
 
 /// Sequentially commit one block in candidate order (lead thread only),
 /// reproducing the fully sequential asynchronous sweep exactly: each
 /// candidate is marked processed, its speculative pick is used unless a
 /// neighbour moved earlier in this block (in which case the pick is
-/// recomputed against the live labels), and an adopted move stores the
-/// label, clears neighbour `processed` flags, and — in frontier mode —
-/// CAS-claims worklist pushes, just like the legacy path.
+/// recomputed against the live labels), and a move is adopted on the
+/// spot. With `picks == None` every pick is computed live and stale
+/// candidates are only counted.
 ///
-/// Returns `(ΔN, picks recomputed)`. The repair count depends only on
-/// the block partition and commit order — both deterministic — so it is
+/// Returns `(ΔN, stale candidates)`. The stale count depends only on the
+/// block partition and commit order — both deterministic — so it is
 /// identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 fn commit_block<V: HashValue>(
     g: &Csr,
     candidates: &[VertexId],
-    block: std::ops::Range<usize>,
-    picks: &[AtomicU32],
+    block: Range<usize>,
+    picks: Option<&[AtomicU32]>,
     pick_less: bool,
-    probe: ProbeStrategy,
     labels: &[AtomicU32],
     processed: &[AtomicU8],
     scratch: &mut ScratchPad<V>,
@@ -593,33 +513,18 @@ fn commit_block<V: HashValue>(
             .neighbor_ids(v)
             .iter()
             .any(|&j| moved[j as usize] == block_stamp);
-        let pick = if stale {
-            repaired += 1;
-            compute_pick(g, v, pick_less, probe, labels, scratch).unwrap_or(NO_MOVE)
-        } else {
-            picks[i].load(Ordering::Relaxed)
+        repaired += stale as u64;
+        let pick = match picks {
+            Some(p) if !stale => {
+                let p = p[i].load(Ordering::Relaxed);
+                (p != NO_MOVE).then_some(p)
+            }
+            _ => compute_pick(g, v, pick_less, labels, scratch),
         };
-        if pick == NO_MOVE {
-            continue;
-        }
-        labels[v as usize].store(pick, Ordering::Relaxed);
-        moved[v as usize] = block_stamp;
-        changed += 1;
-        match fr {
-            Some(ctx) => {
-                ctx.movers.push(v);
-                for &j in g.neighbor_ids(v) {
-                    processed[j as usize].store(0, Ordering::Relaxed);
-                    if ctx.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
-                        ctx.worklist.push(j);
-                    }
-                }
-            }
-            None => {
-                for &j in g.neighbor_ids(v) {
-                    processed[j as usize].store(0, Ordering::Relaxed);
-                }
-            }
+        if let Some(c) = pick {
+            adopt(g, v, c, labels, processed, fr);
+            moved[v as usize] = block_stamp;
+            changed += 1;
         }
     }
     (changed, repaired)
@@ -690,41 +595,29 @@ mod tests {
             .build();
         let labels: Vec<AtomicU32> = (0..4).map(AtomicU32::new).collect();
         let mut s = ScratchPad::<f32>::new(4);
-        let p = ProbeStrategy::QuadraticDouble;
-        let a = compute_pick(&g, 0, false, p, &labels, &mut s);
-        let b = compute_pick(&g, 0, false, p, &labels, &mut s);
+        let a = compute_pick(&g, 0, false, &labels, &mut s);
+        let b = compute_pick(&g, 0, false, &labels, &mut s);
         assert_eq!(a, b, "second use of the scratch must see fresh counts");
     }
 
     #[test]
-    fn weight_tie_resolves_to_legacy_slot_order_winner() {
-        // Vertex 0 sees labels 1 and 2 at equal weight. The legacy path
-        // builds a per-vertex table and takes the first maximal slot;
-        // the fast path must land on the same label the table would.
+    fn weight_tie_resolves_to_first_touched_label() {
+        // Vertex 0's neighbours in CSR order are 1 then 2, carrying
+        // labels 2 then 1 at equal weight. The first-touched label (2)
+        // wins, not the smaller one.
         let g = nulpa_graph::GraphBuilder::new(3)
             .add_undirected_edge(0, 1, 1.0)
             .add_undirected_edge(0, 2, 1.0)
             .build();
-        let labels: Vec<AtomicU32> = (0..3).map(AtomicU32::new).collect();
-        for probe in [
-            ProbeStrategy::Linear,
-            ProbeStrategy::Quadratic,
-            ProbeStrategy::Double,
-            ProbeStrategy::QuadraticDouble,
-        ] {
-            let mut s = ScratchPad::<f32>::new(3);
-            let pick = compute_pick(&g, 0, false, probe, &labels, &mut s);
-            // replay the legacy table to get the expected winner
-            let p1 = capacity_for_degree(g.degree(0));
-            let p2 = secondary_prime(p1);
-            let mut keys = vec![nulpa_hashtab::EMPTY_KEY; p1];
-            let mut vals = vec![0.0f32; p1];
-            let mut t = nulpa_hashtab::TableMut::<f32>::new(&mut keys, &mut vals, p2);
-            for (j, w) in g.neighbors(0) {
-                t.accumulate(probe, labels[j as usize].load(Ordering::Relaxed), w);
-            }
-            let expect = t.max_key().map(|(k, _)| k);
-            assert_eq!(pick, expect, "probe {probe:?} diverged from legacy table");
-        }
+        assert_eq!(g.neighbor_ids(0), &[1, 2]);
+        let labels: Vec<AtomicU32> = [0, 2, 1].into_iter().map(AtomicU32::new).collect();
+        let mut s = ScratchPad::<f32>::new(3);
+        assert_eq!(compute_pick(&g, 0, false, &labels, &mut s), Some(2));
+        // A strictly heavier label later in CSR order still wins.
+        let g = nulpa_graph::GraphBuilder::new(3)
+            .add_undirected_edge(0, 1, 1.0)
+            .add_undirected_edge(0, 2, 1.5)
+            .build();
+        assert_eq!(compute_pick(&g, 0, false, &labels, &mut s), Some(1));
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! * **per-thread span timelines** — one `compute` span per (thread,
 //!   block) and one `commit` span per block on the lead thread, in
-//!   nanoseconds since the run started, renderable as a Chrome trace;
+//!   nanoseconds since the run started, renderable as a Chrome trace (a
+//!   one-thread run, whose sweep is fused, records only the `commit`
+//!   spans);
 //! * **per-bucket work counters** — vertices and edges scanned, chunks
 //!   claimed, and cursor-CAS retries (a direct contention proxy) split
 //!   by the low/mid/high degree buckets;
@@ -63,7 +65,8 @@ impl BucketCounters {
 pub enum SpanKind {
     /// Parallel speculative-pick phase of one block.
     Compute,
-    /// Sequential repair-commit phase of one block (lead thread only).
+    /// Sequential repair-commit phase of one block (lead thread only);
+    /// at one thread, the fused compute-and-commit sweep over the block.
     Commit,
 }
 
@@ -106,7 +109,8 @@ pub struct IterRepairStats {
     /// Candidates swept (the iteration's active set).
     pub candidates: u64,
     /// Speculative picks the sequential commit recomputed because a
-    /// same-block neighbour moved earlier in the block.
+    /// same-block neighbour moved earlier in the block (at one thread,
+    /// the candidates a multi-thread commit would have recomputed).
     pub repaired: u64,
     /// Blocks that needed at least one repair — work serialized behind
     /// the lead thread.

@@ -7,9 +7,22 @@ use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
 
+/// Header line [`write_edge_list`] emits ahead of the edges.
+const HEADER_PREFIX: &str = "# nu-lpa edge list:";
+
+/// `N` from a `# nu-lpa edge list: N vertices, M edges` header line.
+fn header_vertices(line: &str) -> Option<usize> {
+    let mut it = line.strip_prefix(HEADER_PREFIX)?.split_whitespace();
+    let n = it.next()?.parse().ok()?;
+    it.next()?.starts_with("vertices").then_some(n)
+}
+
 /// Read an edge list. `num_vertices` may be larger than the max id seen;
-/// pass `None` to size the graph to `max_id + 1`. When `symmetrize` is
-/// set, missing reverse edges are added (paper's preprocessing).
+/// pass `None` to take |V| from the [`write_edge_list`] header when the
+/// input has one (so trailing isolated vertices survive a round trip),
+/// else to size the graph to `max_id + 1`. Ids ≥ |V| are rejected. When
+/// `symmetrize` is set, missing reverse edges are added (paper's
+/// preprocessing).
 pub fn read_edge_list<R: BufRead>(
     reader: R,
     num_vertices: Option<usize>,
@@ -17,11 +30,15 @@ pub fn read_edge_list<R: BufRead>(
 ) -> Result<Csr, IoError> {
     let mut edges: Vec<(VertexId, VertexId, f32)> = Vec::new();
     let mut max_id: u64 = 0;
+    let mut header_n: Option<usize> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = lineno + 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
+            if header_n.is_none() {
+                header_n = header_vertices(t);
+            }
             continue;
         }
         let mut it = t.split_whitespace();
@@ -48,7 +65,7 @@ pub fn read_edge_list<R: BufRead>(
         max_id = max_id.max(u).max(v);
         edges.push((u as VertexId, v as VertexId, w));
     }
-    let n = match num_vertices {
+    let n = match num_vertices.or(header_n) {
         Some(n) => {
             if !edges.is_empty() && max_id as usize >= n {
                 return Err(parse_err(0, format!("vertex {max_id} >= |V| = {n}")));
@@ -135,6 +152,29 @@ mod tests {
     #[test]
     fn rejects_vertex_beyond_given_n() {
         assert!(read_edge_list(Cursor::new("0 5\n"), Some(3), false).is_err());
+    }
+
+    #[test]
+    fn header_keeps_trailing_isolated_vertices() {
+        // Vertices 4 and 5 have no edges; only the header says they exist.
+        let g = GraphBuilder::new(6)
+            .add_undirected_edge(0, 1, 1.0)
+            .add_undirected_edge(2, 3, 2.0)
+            .build();
+        let mut buf = Vec::new();
+        write_edge_list(&g, &mut buf).unwrap();
+        let g2 = read_edge_list(Cursor::new(buf), None, true).unwrap();
+        assert_eq!(g2.num_vertices(), 6);
+        assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn header_bounds_vertex_ids() {
+        let txt = "# nu-lpa edge list: 3 vertices, 1 edges\n0 5\n";
+        assert!(read_edge_list(Cursor::new(txt), None, false).is_err());
+        // an explicit |V| still wins over the header
+        let g = read_edge_list(Cursor::new(txt), Some(8), false).unwrap();
+        assert_eq!(g.num_vertices(), 8);
     }
 
     #[test]

@@ -67,6 +67,17 @@ cargo run --release --bin nulpa -- sancheck
 step "hostprof smoke (nulpa profile --host --json)"
 cargo run --release --bin nulpa -- profile --host --json > /dev/null
 
+# The wall-clock benchmark's own contract: its unit tests, then a short
+# traced kmer run, which checks t1 ≡ t2 labels and repair schedules and
+# that the lead's spans tile the profiled wall time (exit 0 = no failed
+# check).
+step "perfbench tests"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
+step "perfbench smoke (kmer, --trace 1)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload kmer --seed 1 --seconds 1 --trace 1 > /dev/null
+
 step "perf gate (cycle-attribution baseline)"
 bash scripts/perf_gate.sh
 

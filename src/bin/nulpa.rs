@@ -73,7 +73,7 @@ fn usage() {
     eprintln!(
         "nulpa — nu-LPA community detection (paper reproduction)\n\n\
          USAGE:\n  nulpa stats [graph] [--backend B] [--json] [--history FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   convergence observatory\n  \
-         nulpa detect <graph> [--method M] [--threads N] [--frontier] [--bucket-thresholds L,M | --no-buckets]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
+         nulpa detect <graph> [--method M] [--threads N] [--frontier] [--bucket-thresholds L,M]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
          nulpa partition <graph> -k N [--balance F] [--output FILE]\n  \
          nulpa coarsen <graph> --target N [--output FILE]\n  \
          nulpa inspect <graph> [--top N]\n  \
@@ -102,10 +102,9 @@ fn usage() {
          FRONTIER: --frontier switches nu-lpa / nu-lpa-sim to worklist\n  \
          (active-set) scheduling: only re-activated vertices are scanned\n  \
          and, on the simulator, launched. Deterministic at any thread count.\n\n\
-         BUCKETS: nu-lpa runs the degree-bucketed cache-blocked fast path\n  \
-         by default; --bucket-thresholds LOW,MID sets the low/mid degree\n  \
-         cutoffs (default 32,512) and --no-buckets falls back to the\n  \
-         legacy per-vertex hashtable path.\n\n\
+         BUCKETS: with --threads N > 1, nu-lpa threads claim work in\n  \
+         low/mid/high degree buckets; --bucket-thresholds LOW,MID sets the\n  \
+         cutoffs (default 32,512). Results do not depend on them.\n\n\
          TRACING: --trace x.jsonl writes a JSONL event stream; any other\n  \
          extension writes a Chrome trace-event file (open in Perfetto).\n  \
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
@@ -326,7 +325,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     const BACKENDS: &[&str] = &[
         "seq",
         "nu-lpa",
-        "nu-lpa-nobuckets",
         "nu-lpa-sim",
         "seq-frontier",
         "nu-lpa-frontier",
@@ -456,9 +454,6 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
     let result = match backend {
         "seq" => lpa_seq_observed(g, &cfg, &mut sink, &mut rec),
         "nu-lpa" => lpa_native_observed(g, &cfg, &mut sink, &mut rec),
-        // The legacy per-vertex hashtable path, kept in the observatory so
-        // the fast path's quality and footprint are pinned against it.
-        "nu-lpa-nobuckets" => lpa_native_observed(g, &cfg.with_buckets(None), &mut sink, &mut rec),
         "nu-lpa-sim" => lpa_gpu_observed(g, &cfg, &mut sink, &mut rec),
         other => return Err(format!("stats: unknown backend `{other}`")),
     };
@@ -682,25 +677,19 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
             "--frontier: method `{method}` has no frontier mode (use nu-lpa or nu-lpa-sim)"
         ));
     }
-    let no_buckets = args.iter().any(|a| a == "--no-buckets");
     let bucket_thresholds = opt_value(args, "--bucket-thresholds")
         .map(parse_bucket_thresholds)
         .transpose()?;
-    if (no_buckets || bucket_thresholds.is_some()) && method != "nu-lpa" {
+    if bucket_thresholds.is_some() && method != "nu-lpa" {
         return Err(format!(
-            "--bucket-thresholds/--no-buckets: method `{method}` has no host fast path (use nu-lpa)"
+            "--bucket-thresholds: method `{method}` has no host fast path (use nu-lpa)"
         ));
-    }
-    if no_buckets && bucket_thresholds.is_some() {
-        return Err("--no-buckets conflicts with --bucket-thresholds".into());
     }
     let mut cfg = LpaConfig::default()
         .with_threads(threads)
         .with_frontier(frontier);
-    if no_buckets {
-        cfg = cfg.with_buckets(None);
-    } else if let Some(b) = bucket_thresholds {
-        cfg = cfg.with_buckets(Some(b));
+    if let Some(b) = bucket_thresholds {
+        cfg = cfg.with_buckets(b);
     }
     cfg.validate()?;
     if trace_path.is_some() && !matches!(method, "nu-lpa" | "nu-lpa-sim") {

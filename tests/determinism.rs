@@ -88,23 +88,19 @@ fn frontier_reactivation_never_duplicates_worklist_entries() {
         edges.push((0, b, 0.1));
     }
     let g = GraphBuilder::new(n).add_undirected_edges(edges).build();
-    for frontier_cfg in [
-        LpaConfig::default().with_frontier(true),
-        LpaConfig::default().with_frontier(true).with_buckets(None),
-    ] {
-        let dense = frontier_cfg.with_frontier(false);
+    let frontier_cfg = LpaConfig::default().with_frontier(true);
+    let dense = frontier_cfg.with_frontier(false);
+    assert_eq!(
+        lpa_seq(&g, &frontier_cfg).labels,
+        lpa_seq(&g, &dense).labels,
+        "seq frontier diverged from dense"
+    );
+    for threads in [1, 4] {
         assert_eq!(
-            lpa_seq(&g, &frontier_cfg).labels,
-            lpa_seq(&g, &dense).labels,
-            "seq frontier diverged from dense"
+            lpa_native(&g, &frontier_cfg.with_threads(threads)).labels,
+            lpa_native(&g, &dense.with_threads(1)).labels,
+            "native frontier diverged from dense (threads={threads})"
         );
-        for threads in [1, 4] {
-            assert_eq!(
-                lpa_native(&g, &frontier_cfg.with_threads(threads)).labels,
-                lpa_native(&g, &dense.with_threads(1)).labels,
-                "native frontier diverged from dense (threads={threads})"
-            );
-        }
     }
 }
 

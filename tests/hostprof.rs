@@ -3,9 +3,10 @@
 //! The observability contract of `lpa_native_hostprof` has two halves.
 //! **Neutrality**: profiling must not change the algorithm — a profiled
 //! run's `LpaResult` is bit-identical to the unprofiled run's on every
-//! field, across thread counts, bucket modes, and scheduling modes
-//! (picks are pure functions of block-frozen labels; the profiler only
-//! changes *which thread* computes a pick and how cursors are claimed).
+//! field, across thread counts and scheduling modes (picks are pure
+//! functions of block-frozen labels; the profiler only changes *which
+//! thread* computes a pick and how cursors are claimed, and at one
+//! thread only cuts the fused sweep into blocks).
 //! **Integrity**: when the recorder is compiled in (`telemetry` default
 //! feature → `nulpa-core/hostprof`), the collected data must account
 //! for exactly the work the run did — every candidate attributed to a
@@ -44,24 +45,15 @@ fn assert_same_result(a: &LpaResult, b: &LpaResult, ctx: &str) {
 }
 
 /// Profiled ≡ unprofiled on every `LpaResult` field, across the thread
-/// ladder and both bucket modes.
+/// ladder.
 #[test]
 fn profiled_run_is_bit_identical_to_unprofiled() {
     for (name, g) in &trio() {
         for threads in [1usize, 2, 4] {
-            for buckets in [true, false] {
-                let mut cfg = LpaConfig::default().with_threads(threads);
-                if !buckets {
-                    cfg = cfg.with_buckets(None);
-                }
-                let plain = lpa_native(g, &cfg);
-                let (profiled, _) = lpa_native_hostprof(g, &cfg);
-                assert_same_result(
-                    &plain,
-                    &profiled,
-                    &format!("{name} threads={threads} buckets={buckets}"),
-                );
-            }
+            let cfg = LpaConfig::default().with_threads(threads);
+            let plain = lpa_native(g, &cfg);
+            let (profiled, _) = lpa_native_hostprof(g, &cfg);
+            assert_same_result(&plain, &profiled, &format!("{name} threads={threads}"));
         }
     }
 }
@@ -85,16 +77,6 @@ fn profiled_frontier_run_is_bit_identical() {
     }
 }
 
-/// The recorder only exists on the bucketed fast path: the legacy
-/// per-vertex path returns no profile in any build.
-#[test]
-fn no_buckets_means_no_profile() {
-    let g = caveman_weighted(4, 8, 0.5);
-    let cfg = LpaConfig::default().with_buckets(None);
-    let (_, prof) = lpa_native_hostprof(&g, &cfg);
-    assert!(prof.is_none());
-}
-
 #[cfg(feature = "telemetry")]
 mod data {
     //! Integrity of the collected data (needs the recorder compiled in,
@@ -106,7 +88,7 @@ mod data {
     fn profile(g: &Csr, threads: usize) -> HostProfData {
         let cfg = LpaConfig::default().with_threads(threads);
         let (_, prof) = lpa_native_hostprof(g, &cfg);
-        prof.expect("hostprof feature is on and buckets are the default")
+        prof.expect("hostprof feature is on")
     }
 
     #[test]
@@ -123,6 +105,26 @@ mod data {
                 let edges: u64 = data.bucket_totals().iter().map(|b| b.edges).sum();
                 assert!(edges > 0, "{name}: no edges attributed");
             }
+        }
+    }
+
+    /// At one thread the fused sweep records one commit span per block:
+    /// the spans never overlap, stay inside the profiled wall time, and
+    /// number exactly the blocks the repair statistics report.
+    #[test]
+    fn single_thread_block_spans_tile_the_sweep() {
+        for (name, g) in &trio() {
+            let data = profile(g, 1);
+            let spans = &data.per_thread[0].spans;
+            let blocks: u64 = data.iters.iter().map(|i| i.blocks as u64).sum();
+            assert_eq!(spans.len() as u64, blocks, "{name}: one span per block");
+            let mut end = 0u64;
+            for s in spans {
+                assert_eq!(s.kind, nu_lpa::core::SpanKind::Commit, "{name}");
+                assert!(s.start_ns >= end, "{name}: spans overlap");
+                end = s.start_ns + s.dur_ns;
+            }
+            assert!(end <= data.wall_ns, "{name}: spans run past wall_ns");
         }
     }
 
