@@ -16,14 +16,15 @@
 //! row requested — so single-core CI numbers are never misread as a
 //! scaling regression.
 //!
-//! `--check-scaling` turns the binary into a perf gate: on a host with
-//! at least 4 hardware threads it exits non-zero unless the native
-//! backend reaches a 2x speedup at 4 threads; on smaller hosts it
-//! prints a SKIP notice and passes.
+//! `--check-scaling` turns the binary into a perf gate ([`SCALING_GATE`]):
+//! on a host with at least 4 hardware threads it exits non-zero unless
+//! the native backend reaches a 2x speedup at 4 threads; on smaller
+//! hosts the rule's verdict is SKIP and the gate passes.
 
 use nulpa_bench::{print_header, timing_stats, BenchArgs, Report, Table, TimingStats};
 use nulpa_core::{lpa_gpu, lpa_native, lpa_native_hostprof, LpaConfig};
 use nulpa_graph::datasets::figure_specs;
+use nulpa_obs::gate::{Gate, Row, Rule};
 use nulpa_telemetry::hostprof::summarize;
 
 // Meter the heap so the report's meta carries `alloc_peak_bytes`.
@@ -31,9 +32,13 @@ nulpa_telemetry::install_counting_alloc!();
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Speedup the native backend must reach at 4 threads for
-/// `--check-scaling` to pass (only enforced when `hw_threads >= 4`).
-const NATIVE_SPEEDUP_FLOOR: f64 = 2.0;
+/// `--check-scaling`: the native backend's speedup at 4 threads may not
+/// fall below the code-built baseline row (`speedup_t4 = 2`), enforced
+/// only when the host has more than 3 hardware threads.
+const SCALING_GATE: Gate = Gate {
+    name: "scaling",
+    rules: &[Rule::higher("speedup_t4", 0.0, 0.0).guarded("hw_threads", 3.0)],
+};
 
 fn main() {
     // `--check-scaling` is specific to this binary; strip it before the
@@ -54,7 +59,7 @@ fn main() {
             a
         }
         Ok(None) => {
-            println!("{} , --check-scaling (gate: fail unless the native backend reaches {NATIVE_SPEEDUP_FLOOR}x at 4 threads; SKIPs below 4 hw threads)", nulpa_bench::USAGE);
+            println!("{} , --check-scaling (gate: fail unless the native backend reaches 2x at 4 threads; SKIPs below 4 hw threads)", nulpa_bench::USAGE);
             return;
         }
         Err(e) => {
@@ -295,24 +300,15 @@ fn main() {
             .iter()
             .find(|(t, ..)| *t == 4)
             .expect("thread ladder includes 4");
-        let speedup = native_base_ms / four.1.max(1e-9);
-        if hw_threads < 4 {
-            println!(
-                "check-scaling: SKIP — host has {hw_threads} hardware thread(s), \
-                 need 4 to enforce the {NATIVE_SPEEDUP_FLOOR}x native floor \
-                 (measured {speedup:.2}x, degraded)"
-            );
-        } else if speedup < NATIVE_SPEEDUP_FLOOR {
-            eprintln!(
-                "check-scaling: FAIL — native speedup at 4 threads is {speedup:.2}x \
-                 (floor {NATIVE_SPEEDUP_FLOOR}x, hw_threads={hw_threads})"
-            );
+        let current = Row::new("native")
+            .with("speedup_t4", native_base_ms / four.1.max(1e-9))
+            .with("hw_threads", hw_threads as f64);
+        let floor = Row::new("native").with("speedup_t4", 2.0);
+        let report = SCALING_GATE.check(&[floor], &[current]);
+        print!("{}", report.render());
+        if let Err(e) = report.result() {
+            eprintln!("{e}");
             std::process::exit(1);
-        } else {
-            println!(
-                "check-scaling: OK — native speedup at 4 threads is {speedup:.2}x \
-                 (floor {NATIVE_SPEEDUP_FLOOR}x)"
-            );
         }
     }
 }

@@ -2,37 +2,68 @@
 //!
 //! Default mode profiles the built-in graph trio across every profiling
 //! backend and writes `results/prof_baseline.json` — the committed
-//! reference the CI perf gate compares against. `--check` re-profiles
-//! the same matrix, writes `results/prof_current.json`, and exits
-//! non-zero if any attributed cycle component regressed beyond the
-//! tolerance relative to the committed baseline. The simulator is
-//! deterministic, so any drift is a real cost-model or algorithm
-//! change, not noise.
+//! `gate-v1` baseline the CI perf gate compares against: one row per
+//! `(graph, backend)` with the total cycle ledger, every component's
+//! cycles and the conservation flag. `--check` re-profiles the same
+//! matrix, writes the current rows to `results/prof_current.json`, and
+//! exits non-zero if any row fails [`CYCLE_GATE`]. Both modes also check
+//! [`FRONTIER_GATE`]. The simulator is deterministic, so any drift is a
+//! real cost-model or algorithm change, not noise.
 //!
 //! ```text
-//! profile_baseline [--check] [--baseline PATH] [--out PATH]
-//!                  [--tolerance PCT] [--help]
+//! profile_baseline [--check] [--baseline PATH] [--out PATH] [--help]
 //! ```
 
 use nulpa_core::{resolve_threads, LpaConfig};
-use nulpa_graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
-use nulpa_graph::Csr;
+use nulpa_graph::gen::builtin_trio;
+use nulpa_obs::gate::{self, Gate, Row, Rule};
 use nulpa_obs::meta::run_meta;
-use nulpa_prof::json::report_to_json;
-use nulpa_prof::{backends, compare_profiles, profile_graph, GraphProfile};
+use nulpa_prof::json::gate_row;
+use nulpa_prof::{backends, profile_graph, GraphProfile};
 use std::process::ExitCode;
 
 const USAGE: &str = "profile_baseline: write or check the profiler perf baseline
 options: --check (compare against the baseline instead of rewriting it),
 --baseline <path> (default results/prof_baseline.json),
 --out <path> (default results/prof_baseline.json, or results/prof_current.json with --check),
---tolerance <pct> (allowed regression, default 5), --help";
+--help";
+
+/// Every cycle total and component may grow at most 5% over the baseline;
+/// attribution must stay conserved.
+const CYCLE_GATE: Gate = Gate {
+    name: "perf",
+    rules: &[
+        Rule::lower("sim_cycles", 0.05, 0.0),
+        Rule::lower("lane_cycles", 0.05, 0.0),
+        Rule::lower("idle_cycles", 0.05, 0.0),
+        Rule::lower("imbalance_cycles", 0.05, 0.0),
+        Rule::lower("stall_cycles", 0.05, 0.0),
+        Rule::lower("alu", 0.05, 0.0),
+        Rule::lower("global_near", 0.05, 0.0),
+        Rule::lower("global_far", 0.05, 0.0),
+        Rule::lower("atomic", 0.05, 0.0),
+        Rule::lower("probe_near", 0.05, 0.0),
+        Rule::lower("probe_far", 0.05, 0.0),
+        Rule::lower("shared", 0.05, 0.0),
+        Rule::lower("barrier", 0.05, 0.0),
+        Rule::lower("frontier_compact", 0.05, 0.0),
+        Rule::exact("conserved"),
+    ],
+};
+
+/// The frontier acceptance lock: the compacted active-set mode must cut
+/// at least 25% of its dense counterpart's simulated cycles on at least
+/// one `(graph, device)` cell of the matrix. Its baseline is a row built
+/// in code, not a file: `best_cut_pct = 25`.
+const FRONTIER_GATE: Gate = Gate {
+    name: "frontier",
+    rules: &[Rule::higher("best_cut_pct", 0.0, 0.0)],
+};
 
 struct Args {
     check: bool,
     baseline: String,
     out: Option<String>,
-    tolerance: u64,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
@@ -40,7 +71,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         check: false,
         baseline: "results/prof_baseline.json".into(),
         out: None,
-        tolerance: 5,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -49,32 +79,15 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--check" => a.check = true,
             "--baseline" => a.baseline = it.next().ok_or("--baseline needs a path")?,
             "--out" => a.out = Some(it.next().ok_or("--out needs a path")?),
-            "--tolerance" => {
-                a.tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs an integer percent")?;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(Some(a))
 }
 
-/// The same built-in trio `nulpa sancheck` and `nulpa profile` use: two
-/// planted-partition graphs and one noise graph, all small enough that
-/// the full matrix profiles in seconds.
-fn graph_trio() -> Vec<(String, Csr)> {
-    vec![
-        ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-        ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-        ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-    ]
-}
-
 fn run_matrix() -> Result<Vec<GraphProfile>, String> {
     let mut profiles = Vec::new();
-    for (gname, g) in &graph_trio() {
+    for (gname, g) in &builtin_trio() {
         for spec in &backends() {
             let gp = profile_graph(gname, g, spec);
             if let Err(e) = &gp.conservation {
@@ -86,14 +99,11 @@ fn run_matrix() -> Result<Vec<GraphProfile>, String> {
     Ok(profiles)
 }
 
-/// The frontier acceptance lock: the compacted active-set mode must beat
-/// its dense counterpart by at least this much on at least one
-/// `(graph, device)` cell of the matrix. The simulator is deterministic,
-/// so a miss means the frontier scheduling genuinely regressed.
-const FRONTIER_MIN_REDUCTION_PCT: f64 = 25.0;
-
-fn check_frontier_win(profiles: &[GraphProfile]) -> Result<(), String> {
-    let mut best: Option<(String, f64)> = None;
+/// The frontier gate's current row: the best reduction of simulated
+/// cycles any `-frontier` backend achieves over its dense counterpart.
+/// No frontier backends means no row, which the gate fails as missing.
+fn frontier_row(profiles: &[GraphProfile]) -> Result<Vec<Row>, String> {
+    let mut best: Option<f64> = None;
     for gp in profiles {
         let Some(dense_name) = gp.profile.backend.strip_suffix("-frontier") else {
             continue;
@@ -107,30 +117,18 @@ fn check_frontier_win(profiles: &[GraphProfile]) -> Result<(), String> {
                     gp.profile.graph, gp.profile.backend
                 )
             })?;
-        let red = 100.0
+        let cut = 100.0
             * (1.0 - gp.profile.totals.sim_cycles as f64 / dense.profile.totals.sim_cycles as f64);
         println!(
             "frontier vs dense {:<18} {:<6} {:>+6.1}% sim cycles",
-            gp.profile.graph, dense_name, -red
+            gp.profile.graph, dense_name, -cut
         );
-        if best.as_ref().is_none_or(|(_, r)| red > *r) {
-            best = Some((format!("{}/{dense_name}", gp.profile.graph), red));
-        }
+        best = Some(best.map_or(cut, |b: f64| b.max(cut)));
     }
-    match best {
-        Some((cell, red)) if red >= FRONTIER_MIN_REDUCTION_PCT => {
-            println!(
-                "frontier gate: {cell} cut {red:.1}% of simulated cycles \
-                 (threshold {FRONTIER_MIN_REDUCTION_PCT}%)"
-            );
-            Ok(())
-        }
-        Some((cell, red)) => Err(format!(
-            "frontier gate failed: best reduction {red:.1}% ({cell}) is below \
-             the locked {FRONTIER_MIN_REDUCTION_PCT}% threshold"
-        )),
-        None => Err("frontier gate: no frontier backends in the matrix".into()),
-    }
+    Ok(best
+        .map(|b| Row::new("frontier").with("best_cut_pct", b))
+        .into_iter()
+        .collect())
 }
 
 fn write_report(path: &str, text: &str) -> Result<(), String> {
@@ -171,7 +169,6 @@ fn run(args: &Args) -> Result<(), String> {
         ("device", cfg.device.preset_name()),
         ("probe", cfg.probe.label().to_string()),
     ]);
-    let text = report_to_json(&meta, &profiles);
     for gp in &profiles {
         println!(
             "profiled {:<18} {:<12} {:>10} cycles, {} iterations, {} communities",
@@ -182,12 +179,17 @@ fn run(args: &Args) -> Result<(), String> {
             gp.communities,
         );
     }
-    check_frontier_win(&profiles)?;
+    let floor = Row::new("frontier").with("best_cut_pct", 25.0);
+    let frontier = FRONTIER_GATE.check(&[floor], &frontier_row(&profiles)?);
+    print!("{}", frontier.render());
+    frontier.result()?;
 
+    let rows: Vec<Row> = profiles.iter().map(gate_row).collect();
+    let text = gate::to_json(&meta, &rows);
     if !args.check {
         let out = args.out.clone().unwrap_or_else(|| args.baseline.clone());
         write_report(&out, &text)?;
-        println!("baseline written to {out} ({} profiles)", profiles.len());
+        println!("baseline written to {out} ({} rows)", rows.len());
         return Ok(());
     }
 
@@ -196,31 +198,30 @@ fn run(args: &Args) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| "results/prof_current.json".into());
     write_report(&out, &text)?;
-    println!("current profile written to {out}");
+    println!("current rows written to {out}");
     let baseline = std::fs::read_to_string(&args.baseline).map_err(|e| {
         format!(
             "{}: {e} (generate it with `profile_baseline`)",
             args.baseline
         )
     })?;
-    let report = compare_profiles(&baseline, &text, args.tolerance)?;
-    for line in &report.improvements {
-        println!("note: {line}");
-    }
-    for line in &report.regressions {
-        eprintln!("REGRESSION: {line}");
-    }
-    if report.passed() {
-        println!(
-            "perf gate passed: {} metrics within {}% of {}",
-            report.checked, args.tolerance, args.baseline
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "perf gate failed: {} regression(s) beyond {}%",
-            report.regressions.len(),
-            args.tolerance
-        ))
+    let report = CYCLE_GATE.check_json(&baseline, &rows)?;
+    print!("{}", report.render());
+    report.result()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cycle_gate_rules_every_component() {
+        for c in nulpa_simt::Comp::all() {
+            assert!(
+                CYCLE_GATE.rules.iter().any(|r| r.metric == c.label()),
+                "no perf-gate rule for component {}",
+                c.label()
+            );
+        }
     }
 }

@@ -38,15 +38,26 @@ impl Csr {
     /// Build directly from raw CSR arrays.
     ///
     /// # Panics
-    /// Panics if the arrays violate the CSR invariants listed on [`Csr`].
+    /// Panics if the arrays violate the CSR invariants listed on [`Csr`];
+    /// use [`Csr::try_from_raw`] for arrays from outside the program.
     pub fn from_raw(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+        Self::try_from_raw(offsets, targets, weights).expect("invalid CSR arrays")
+    }
+
+    /// Build from raw CSR arrays, returning the first violated invariant
+    /// (see [`Csr::validate`]) instead of panicking.
+    pub fn try_from_raw(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<Weight>,
+    ) -> Result<Self, String> {
         let g = Csr {
             offsets,
             targets,
             weights,
         };
-        g.validate().expect("invalid CSR arrays");
-        g
+        g.validate()?;
+        Ok(g)
     }
 
     /// An empty graph with `n` vertices and no edges.
@@ -223,7 +234,8 @@ impl Csr {
             if w[1] < w[0] {
                 return Err(format!("offsets decrease at vertex {u}"));
             }
-            let slice = &self.targets[w[0]..w[1]];
+            let slice = (self.targets.get(w[0]..w[1]))
+                .ok_or_else(|| format!("offsets[{}] past the edge arrays", u + 1))?;
             for pair in slice.windows(2) {
                 if pair[0] > pair[1] {
                     return Err(format!("adjacency of vertex {u} not sorted"));
@@ -278,6 +290,28 @@ mod tests {
         assert_eq!(g.avg_degree(), 0.0);
         assert!(g.validate().is_ok());
         assert!(g.is_symmetric());
+    }
+
+    #[test]
+    fn try_from_raw_rejects_invalid_arrays_without_panicking() {
+        let ok = Csr::try_from_raw(vec![0, 1, 2], vec![1, 0], vec![1.0, 1.0]).unwrap();
+        assert_eq!(ok.num_edges(), 2);
+        for (offsets, targets, weights, why) in [
+            (
+                vec![0, 5, 2],
+                vec![1, 0],
+                vec![1.0, 1.0],
+                "past the edge arrays",
+            ),
+            (vec![0, 2, 1, 2], vec![0, 1], vec![1.0, 1.0], "decrease"),
+            (vec![1, 1, 2], vec![1, 0], vec![1.0, 1.0], "offsets[0]"),
+            (vec![0, 1, 2], vec![1, 7], vec![1.0, 1.0], "out of range"),
+            (vec![0, 1, 2], vec![1, 0], vec![1.0], "weights.len()"),
+            (vec![0, 1, 3], vec![1, 0], vec![1.0, 1.0], "targets.len()"),
+        ] {
+            let err = Csr::try_from_raw(offsets, targets, weights).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -50,15 +50,18 @@ pub fn read_binary<R: Read>(mut input: R) -> Result<Csr, IoError> {
     let n = read_u64(&mut input)? as usize;
     let m = read_u64(&mut input)? as usize;
 
-    let mut offsets = Vec::with_capacity(n + 1);
+    // The counts come from the file: preallocate at most PREALLOC
+    // entries and grow past that only as bytes actually arrive.
+    const PREALLOC: usize = 1 << 24;
+    let mut offsets = Vec::with_capacity((n + 1).min(PREALLOC));
     for _ in 0..=n {
         offsets.push(read_u64(&mut input)? as usize);
     }
-    let mut targets = Vec::with_capacity(m);
+    let mut targets = Vec::with_capacity(m.min(PREALLOC));
     for _ in 0..m {
         targets.push(read_u32(&mut input)?);
     }
-    let mut weights = Vec::with_capacity(m);
+    let mut weights = Vec::with_capacity(m.min(PREALLOC));
     for _ in 0..m {
         let bits = read_u32(&mut input)?;
         let w = f32::from_bits(bits);
@@ -67,12 +70,7 @@ pub fn read_binary<R: Read>(mut input: R) -> Result<Csr, IoError> {
         }
         weights.push(w);
     }
-    // validate structural invariants before constructing
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
-        return Err(parse_err(0, "corrupt offsets"));
-    }
-    std::panic::catch_unwind(move || Csr::from_raw(offsets, targets, weights))
-        .map_err(|_| parse_err(0, "corrupt CSR arrays"))
+    Csr::try_from_raw(offsets, targets, weights).map_err(|e| parse_err(0, e))
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, IoError> {
@@ -133,6 +131,53 @@ mod tests {
         // corrupt the first offset (offset table starts at byte 8+4+8+8=28)
         buf[28] = 0xff;
         assert!(read_binary(Cursor::new(buf)).is_err());
+    }
+
+    /// Overwrite the little-endian `u64` at `at`.
+    fn poke_u64(buf: &mut [u8], at: usize, v: u64) {
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn corrupt_arrays_are_errors_not_panics() {
+        let g = caveman_weighted(2, 4, 1.0);
+        let mut clean = Vec::new();
+        write_binary(&g, &mut clean).unwrap();
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let offsets_at = 28;
+        let targets_at = offsets_at + 8 * (n + 1);
+
+        // an interior offset far past the edge arrays
+        let mut buf = clean.clone();
+        poke_u64(&mut buf, offsets_at + 8, 1 << 40);
+        let err = read_binary(Cursor::new(buf)).unwrap_err().to_string();
+        assert!(err.contains("past the edge arrays"), "{err}");
+
+        // decreasing offsets
+        let mut buf = clean.clone();
+        poke_u64(&mut buf, offsets_at + 8 * 2, 1);
+        poke_u64(&mut buf, offsets_at + 8 * 3, 0);
+        assert!(read_binary(Cursor::new(buf)).is_err());
+
+        // a target id outside 0..n (the last edge, so adjacency stays sorted)
+        let mut buf = clean.clone();
+        let last = targets_at + 4 * (m - 1);
+        buf[last..last + 4].copy_from_slice(&(n as u32 + 5).to_le_bytes());
+        let err = read_binary(Cursor::new(buf)).unwrap_err().to_string();
+        assert!(err.contains("out of range"), "{err}");
+
+        // header |E| disagreeing with the offsets (lengths mismatch)
+        let mut buf = clean.clone();
+        poke_u64(&mut buf, 20, m as u64 - 1);
+        assert!(read_binary(Cursor::new(buf)).is_err());
+
+        // vertex counts larger than the file holds fail at end of input
+        // without allocating for the claimed size
+        for claimed in [u64::MAX / 2, 1 << 31] {
+            let mut buf = clean.clone();
+            poke_u64(&mut buf, 12, claimed);
+            assert!(read_binary(Cursor::new(buf)).is_err());
+        }
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //!
 //! [`Hist`] is `Copy` and allocation-free so it can live inside
 //! `KernelStats` (which the simulator copies around and compares with
-//! `==`): 32 power-of-two buckets cover the full `u64` range of
-//! probe lengths and warp costs. Bucket 0 holds the value 0; bucket
-//! `k ≥ 1` holds values in `[2^(k-1), 2^k)`, with everything at or above
-//! `2^30` collapsed into the last bucket.
+//! `==`); it is also the snapshot type of the telemetry registry's
+//! atomic histograms. 65 power-of-two buckets cover the full `u64`
+//! range without clamping: bucket 0 holds the value 0 and bucket
+//! `k ≥ 1` holds values in `[2^(k-1), 2^k)`.
 
 /// Number of buckets.
-pub const HIST_BUCKETS: usize = 32;
+pub const HIST_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of `u64` samples.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hist {
     /// Sample count per bucket (see module docs for bucket boundaries).
     pub buckets: [u64; HIST_BUCKETS],
@@ -34,23 +34,30 @@ pub struct Percentiles {
     pub max: u64,
 }
 
-/// Bucket index for a value: 0 for 0, else `1 + floor(log2(v))`, clamped.
+/// Bucket index for a value: 0 for 0, else `1 + floor(log2(v))`.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        ((64 - value.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
+    (64 - value.leading_zeros()) as usize
 }
 
 /// Inclusive-exclusive value bounds `[lo, hi)` of bucket `idx`
-/// (`hi == u64::MAX` for the overflow bucket).
+/// (`hi == u64::MAX` for the top bucket, whose true bound is `2^64`).
 pub fn bucket_bounds(idx: usize) -> (u64, u64) {
     match idx {
         0 => (0, 1),
-        i if i >= HIST_BUCKETS - 1 => (1u64 << (HIST_BUCKETS - 2), u64::MAX),
+        64.. => (1u64 << 63, u64::MAX),
         i => (1u64 << (i - 1), 1u64 << i),
+    }
+}
+
+impl Default for Hist {
+    fn default() -> Self {
+        Hist {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 }
 
@@ -151,8 +158,20 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(1023), 10);
         assert_eq!(bucket_index(1024), 11);
+        assert_eq!(bucket_index(1 << 30), 31);
         assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
-        for v in [0u64, 1, 2, 3, 7, 8, 1 << 29, (1 << 30) + 5, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            8,
+            1 << 29,
+            (1 << 30) + 5,
+            1 << 63,
+            u64::MAX,
+        ] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(
                 v >= lo && (v < hi || hi == u64::MAX),
@@ -233,22 +252,30 @@ mod tests {
     }
 
     #[test]
-    fn saturating_top_bucket_percentiles_stay_finite() {
+    fn samples_above_2_pow_30_keep_their_own_buckets() {
+        // phase durations beyond ~1.07 s must not collapse into one
+        // clamped top bucket
         let mut h = Hist::new();
-        // all mass in the overflow bucket: values >= 2^30
         for v in [1u64 << 30, (1 << 40) + 3, 1 << 50] {
             h.record(v);
         }
-        assert_eq!(h.buckets[HIST_BUCKETS - 1], 3);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.max, 1 << 50);
-        // percentile estimates must cap at the recorded max, not the
-        // overflow bucket's u64::MAX upper bound
-        assert_eq!(h.quantile(0.5), 1 << 50);
+        assert_eq!(h.buckets[31], 1);
+        assert_eq!(h.buckets[41], 1);
+        assert_eq!(h.buckets[51], 1);
+        assert_eq!(h.nonzero_buckets().count(), 3);
+        assert_eq!(h.quantile(0.5), (1 << 41) - 1);
         assert_eq!(h.quantile(0.99), 1 << 50);
-        let mut capped = Hist::new();
-        capped.record(1 << 35);
-        assert_eq!(capped.quantile(0.99), 1 << 35);
+    }
+
+    #[test]
+    fn top_bucket_percentiles_stay_finite() {
+        let mut top = Hist::new();
+        top.record(u64::MAX - 7);
+        assert_eq!(top.buckets[HIST_BUCKETS - 1], 1);
+        // estimates cap at the recorded max, not the top bucket's
+        // u64::MAX upper bound
+        assert_eq!(top.quantile(0.5), u64::MAX - 7);
+        assert_eq!(top.percentiles().p95, u64::MAX - 7);
     }
 
     #[test]
@@ -270,20 +297,6 @@ mod tests {
         let mut z = Hist::new();
         z.record(0);
         assert_eq!(z.percentiles(), Percentiles::default());
-    }
-
-    #[test]
-    fn percentiles_saturating_top_bucket_cap_at_max() {
-        let mut h = Hist::new();
-        for v in [1u64 << 30, (1 << 40) + 3, 1 << 50] {
-            h.record(v);
-        }
-        let p = h.percentiles();
-        // the overflow bucket's upper bound is u64::MAX; estimates must
-        // cap at the recorded max instead
-        assert_eq!(p.p50, 1 << 50);
-        assert_eq!(p.p95, 1 << 50);
-        assert_eq!(p.max, 1 << 50);
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! Everything is hand-rolled — the build environment is offline, so the
 //! crate has no dependencies ([`json`] holds the tiny JSON writer and
 //! recursive-descent parser; [`summary`] reads trace files back for the
-//! `nulpa trace` subcommand).
+//! `nulpa trace` subcommand). [`gate`] is the one baseline format and
+//! regression gate every CI check (cycles, host profile, quality,
+//! scaling, frontier) runs through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod gate;
 pub mod hist;
 pub mod json;
 pub mod meta;

@@ -1,9 +1,11 @@
 //! JSON renderers for profiles: the full single-profile document behind
-//! `nulpa profile --json`, and the multi-profile report document used for
-//! the committed perf baseline (`results/prof_baseline.json`).
+//! `nulpa profile --json`, the multi-profile report document, and the
+//! per-profile [`gate_row`] the perf gate compares against the committed
+//! baseline (`results/prof_baseline.json`).
 
 use crate::profile::{KernelAgg, Profile};
 use crate::run::GraphProfile;
+use nulpa_obs::gate::Row;
 use nulpa_obs::json::{escape, fmt_f64};
 use nulpa_simt::Comp;
 use std::fmt::Write as _;
@@ -105,9 +107,27 @@ pub fn profile_to_json(p: &Profile) -> String {
     out
 }
 
+/// The perf gate's row for one profile, keyed `graph/backend`: the total
+/// cycle ledger (`sim`, `lane`, `idle`, `imbalance`, `stall`), every
+/// component's cycles, and `conserved` (1 when attribution conserved).
+pub fn gate_row(gp: &GraphProfile) -> Row {
+    let p = &gp.profile;
+    let t = &p.totals;
+    let mut row = Row::new(format!("{}/{}", p.graph, p.backend))
+        .with("sim_cycles", t.sim_cycles as f64)
+        .with("lane_cycles", t.lane_cycles as f64)
+        .with("idle_cycles", t.idle_cycles as f64)
+        .with("imbalance_cycles", t.imbalance_cycles as f64)
+        .with("stall_cycles", t.stall_cycles as f64);
+    for c in Comp::all() {
+        row = row.with(c.label(), t.comp.get(c) as f64);
+    }
+    row.with("conserved", gp.conservation.is_ok() as u8 as f64)
+}
+
 /// Render a multi-profile report: run metadata plus one entry per
-/// `(graph, backend)` with kernel and total attributions — the schema the
-/// perf gate compares. `meta` is rendered as a flat string map.
+/// `(graph, backend)` with kernel and total attributions. `meta` is
+/// rendered as a flat string map.
 pub fn report_to_json(meta: &[(String, String)], profiles: &[GraphProfile]) -> String {
     let mut out = String::from("{\"meta\":{");
     for (i, (k, v)) in meta.iter().enumerate() {

@@ -26,19 +26,18 @@
 //! ordinary `nulpa-obs` trace-sink interface; [`Profile`] aggregates them
 //! per kernel / per iteration; [`render`] and [`json`] produce the
 //! text-table and machine-readable forms behind `nulpa profile`;
-//! [`gate`] compares two profile JSON files for the CI perf gate.
+//! [`json::gate_row`] is a profile's row in the CI perf gate
+//! (`nulpa_obs::gate`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collect;
-pub mod gate;
 pub mod json;
 pub mod profile;
 pub mod render;
 pub mod run;
 
 pub use collect::{LaunchRec, ProfileSink, WaveRec};
-pub use gate::{compare_profiles, GateReport};
 pub use profile::{IterAgg, KernelAgg, Profile};
 pub use run::{backends, profile_graph, BackendSpec, GraphProfile};

@@ -24,7 +24,7 @@ pub struct BackendSpec {
 /// The default backend matrix: the paper's A100 preset, the tiny
 /// multi-wave device, the shared-memory-tables ablation, the 64-bit
 /// datatype ablation, and the frontier (active-set) scheduling mode on
-/// both devices. The frontier rows are what the perf gate compares
+/// both devices. The frontier rows are what the frontier gate compares
 /// against their dense counterparts: on the throughput-bound `tiny`
 /// device the compacted launches cut total simulated cycles by >25% on
 /// the caveman trio graph.

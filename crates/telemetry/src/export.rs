@@ -7,8 +7,9 @@
 //! metric, consumable by the same hand-rolled parser the rest of the
 //! workspace uses.
 
-use crate::registry::{MetricsSnapshot, HIST_BUCKETS};
+use crate::registry::MetricsSnapshot;
 use nulpa_obs::json::{escape, fmt_f64};
+use nulpa_obs::{bucket_bounds, HIST_BUCKETS};
 
 /// Sanitise a registry key into a Prometheus metric name.
 fn prom_name(name: &str) -> String {
@@ -24,15 +25,12 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Upper bound of log2 bucket `i` as a Prometheus `le` label.
+/// Inclusive upper bound of log2 bucket `i` as a Prometheus `le` label.
 fn bucket_le(i: usize) -> String {
-    if i == 0 {
-        "0".into()
-    } else if i >= 64 {
+    if i == HIST_BUCKETS - 1 {
         "+Inf".into()
     } else {
-        // bucket i holds [2^(i-1), 2^i)
-        ((1u128 << i) - 1).to_string()
+        (bucket_bounds(i).1 - 1).to_string()
     }
 }
 
@@ -93,15 +91,11 @@ pub fn render_jsonl(snap: &MetricsSnapshot) -> String {
             fmt_f64(h.mean()),
         ));
         let mut first = true;
-        for (i, &c) in h.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for (lo, _, c) in h.nonzero_buckets() {
             if !first {
                 out.push(',');
             }
             first = false;
-            let lo = if i == 0 { 0u128 } else { 1u128 << (i - 1) };
             out.push_str(&format!("[{lo},{c}]"));
         }
         out.push_str("]}\n");

@@ -12,12 +12,8 @@
 //!   `nulpa profile --host`, [`report_json`] as the `--json` document;
 //! * [`write_chrome_trace`] exports the raw span timelines as a
 //!   Chrome/Perfetto trace with one track per worker thread;
-//! * [`baseline_json`] / [`check_against_baseline`] implement the
-//!   `results/hostprof_baseline.json` regression gate: repair rate and
-//!   iteration count are deterministic and thread-count-invariant (the
-//!   commit schedule is a pure function of the candidate order), so
-//!   they gate tightly; imbalance is wall-clock and only gates above a
-//!   busy-time noise floor;
+//! * [`gate_row`] / [`GATE`] are the `results/hostprof_baseline.json`
+//!   regression gate, one row per graph × thread count (see [`GATE`]);
 //! * [`record_registry`] mirrors the headline numbers into the global
 //!   metrics [`Registry`] so Prometheus/JSONL snapshots carry them.
 //!
@@ -28,23 +24,26 @@
 use crate::registry::{global, Registry};
 use nulpa_core::{BucketCounters, HostProfData, IterRepairStats, SpanKind, BUCKET_NAMES};
 use nulpa_obs::export::ChromeTraceSink;
-use nulpa_obs::json::{escape, fmt_f64, parse};
+use nulpa_obs::gate::{Gate, Row, Rule};
+use nulpa_obs::json::{escape, fmt_f64};
 use nulpa_obs::sink::{TraceSink, Value};
 use nulpa_obs::{Hist, Percentiles};
 use std::io::Write;
 
-/// Repair-rate gate: absolute slack added to the baseline.
-pub const REPAIR_RATE_ABS: f64 = 0.01;
-/// Repair-rate gate: relative slack added to the baseline.
-pub const REPAIR_RATE_FRAC: f64 = 0.10;
-/// Imbalance gate: runs whose mean per-thread busy time is below this
-/// floor (milliseconds) are too short to gate — scheduler noise swamps
-/// the signal on small graphs and single-core hosts.
-pub const IMBALANCE_BUSY_FLOOR_MS: f64 = 50.0;
-/// Imbalance gate: relative slack on the baseline.
-pub const IMBALANCE_FRAC: f64 = 0.25;
-/// Imbalance gate: absolute slack on the baseline.
-pub const IMBALANCE_ABS: f64 = 0.5;
+/// The hostprof gate. Iterations must match exactly (the schedule is
+/// deterministic at any thread count); the repair rate may rise by
+/// `max(10%, 0.01)`; imbalance may rise by `max(25%, 0.5)`, and only
+/// gates when the run's mean per-thread busy time exceeds 50 ms —
+/// below that, scheduler noise swamps the signal on small graphs and
+/// single-core hosts.
+pub const GATE: Gate = Gate {
+    name: "hostprof",
+    rules: &[
+        Rule::exact("iterations"),
+        Rule::lower("repair_rate", 0.10, 0.01),
+        Rule::lower("imbalance", 0.25, 0.5).guarded("busy_ms_mean", 50.0),
+    ],
+};
 
 /// One thread's row in the utilization table.
 #[derive(Clone, Debug, PartialEq)]
@@ -263,99 +262,13 @@ pub fn report_json(meta_json: &str, reports: &[HostRunReport]) -> String {
     )
 }
 
-/// Compact baseline document for the regression gate: one entry per
-/// (graph, threads) row carrying only the gated and context fields.
-pub fn baseline_json(reports: &[HostRunReport]) -> String {
-    let entries: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"graph\":{},\"threads\":{},\"iterations\":{},\"repair_rate\":{},\
-                 \"imbalance\":{},\"busy_ms_mean\":{},\"cas_retries\":{}}}",
-                escape(&r.graph),
-                r.threads,
-                r.iterations,
-                fmt_f64(r.repair_rate),
-                fmt_f64(r.imbalance),
-                fmt_f64(r.busy_ms_mean),
-                r.cas_retries
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"hostprof-baseline-v1\",\"entries\":[\n{}\n]}}\n",
-        entries.join(",\n")
-    )
-}
-
-/// Gate current reports against a baseline document produced by
-/// [`baseline_json`]. Returns the number of matched entries, or the list
-/// of human-readable failures. Matching no entries at all is a failure —
-/// a renamed graph must not silently disable the gate.
-pub fn check_against_baseline(
-    baseline: &str,
-    reports: &[HostRunReport],
-) -> Result<usize, Vec<String>> {
-    let doc = match parse(baseline) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("baseline is not valid JSON: {e}")]),
-    };
-    let entries = match doc.get("entries").and_then(|e| e.as_arr()) {
-        Some(e) => e,
-        None => return Err(vec!["baseline has no \"entries\" array".to_string()]),
-    };
-    let mut failures = Vec::new();
-    let mut matched = 0usize;
-    for r in reports {
-        let entry = entries.iter().find(|e| {
-            e.get("graph").and_then(|g| g.as_str()) == Some(r.graph.as_str())
-                && e.get("threads").and_then(|t| t.as_u64()) == Some(r.threads as u64)
-        });
-        let Some(entry) = entry else { continue };
-        matched += 1;
-        let key = format!("{} threads={}", r.graph, r.threads);
-        if let Some(base_iters) = entry.get("iterations").and_then(|v| v.as_u64()) {
-            // Iteration count is deterministic at any thread count: a
-            // mismatch means the commit schedule itself changed.
-            if r.iterations as u64 != base_iters {
-                failures.push(format!(
-                    "{key}: iterations {} != baseline {} (schedule changed; \
-                     regenerate the baseline if intentional)",
-                    r.iterations, base_iters
-                ));
-            }
-        }
-        if let Some(base_rate) = entry.get("repair_rate").and_then(|v| v.as_f64()) {
-            let limit = base_rate + REPAIR_RATE_ABS.max(REPAIR_RATE_FRAC * base_rate);
-            if r.repair_rate > limit {
-                failures.push(format!(
-                    "{key}: repair rate {:.4} exceeds baseline {:.4} + slack (limit {:.4})",
-                    r.repair_rate, base_rate, limit
-                ));
-            }
-        }
-        if let Some(base_imb) = entry.get("imbalance").and_then(|v| v.as_f64()) {
-            // Imbalance is wall-clock: only gate when this run did enough
-            // work for the max/mean ratio to mean anything.
-            if r.busy_ms_mean > IMBALANCE_BUSY_FLOOR_MS {
-                let limit = base_imb * (1.0 + IMBALANCE_FRAC) + IMBALANCE_ABS;
-                if r.imbalance > limit {
-                    failures.push(format!(
-                        "{key}: imbalance {:.2} exceeds baseline {:.2} + slack (limit {:.2})",
-                        r.imbalance, base_imb, limit
-                    ));
-                }
-            }
-        }
-    }
-    if matched == 0 {
-        failures.push("no baseline entries matched any profiled run".to_string());
-    }
-    if failures.is_empty() {
-        Ok(matched)
-    } else {
-        Err(failures)
-    }
+/// A report's gate row, keyed `"<graph> threads=<n>"`.
+pub fn gate_row(r: &HostRunReport) -> Row {
+    Row::new(format!("{} threads={}", r.graph, r.threads))
+        .with("iterations", r.iterations as f64)
+        .with("repair_rate", r.repair_rate)
+        .with("imbalance", r.imbalance)
+        .with("busy_ms_mean", r.busy_ms_mean)
 }
 
 /// Export one run's raw span timelines as a Chrome/Perfetto trace with
@@ -442,6 +355,7 @@ pub fn record_registry(r: &HostRunReport) {
 mod tests {
     use super::*;
     use nulpa_core::{SpanRec, ThreadProfData};
+    use nulpa_obs::json::parse;
 
     fn sample_data() -> HostProfData {
         let spans0 = vec![
@@ -555,66 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrip_passes_gate() {
-        let reports = vec![summarize("g", &sample_data())];
-        let baseline = baseline_json(&reports);
-        assert_eq!(check_against_baseline(&baseline, &reports), Ok(1));
-    }
-
-    #[test]
-    fn gate_fails_on_repair_rate_regression() {
-        let mut reports = vec![summarize("g", &sample_data())];
-        let baseline = baseline_json(&reports);
-        // current run repairs far more than the recorded baseline
-        reports[0].repair_rate = 0.5;
-        let failures = check_against_baseline(&baseline, &reports).unwrap_err();
-        assert!(
-            failures.iter().any(|f| f.contains("repair rate")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn gate_fails_on_iteration_schedule_change() {
-        let mut reports = vec![summarize("g", &sample_data())];
-        let baseline = baseline_json(&reports);
-        reports[0].iterations = 7;
-        let failures = check_against_baseline(&baseline, &reports).unwrap_err();
-        assert!(
-            failures.iter().any(|f| f.contains("iterations")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn gate_ignores_imbalance_below_noise_floor_but_not_above() {
-        let mut reports = vec![summarize("g", &sample_data())];
-        let baseline = baseline_json(&reports);
-        // tiny busy time: imbalance spike is ignored
-        reports[0].imbalance = 100.0;
-        assert!(check_against_baseline(&baseline, &reports).is_ok());
-        // heavy run: the same spike fails
-        reports[0].busy_ms_mean = IMBALANCE_BUSY_FLOOR_MS * 2.0;
-        let failures = check_against_baseline(&baseline, &reports).unwrap_err();
-        assert!(
-            failures.iter().any(|f| f.contains("imbalance")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn gate_rejects_when_nothing_matches() {
-        let reports = vec![summarize("g", &sample_data())];
-        let baseline = baseline_json(&reports);
-        let renamed = vec![HostRunReport {
-            graph: "other".to_string(),
-            ..reports[0].clone()
-        }];
-        let failures = check_against_baseline(&baseline, &renamed).unwrap_err();
-        assert!(failures[0].contains("no baseline entries matched"));
-        // malformed baselines fail loudly too
-        assert!(check_against_baseline("not json", &reports).is_err());
-        assert!(check_against_baseline("{}", &reports).is_err());
+    fn gate_row_passes_against_itself() {
+        let rows = vec![gate_row(&summarize("g", &sample_data()))];
+        assert_eq!(rows[0].key, "g threads=2");
+        let report = GATE.check(&rows, &rows);
+        assert!(report.passed(), "{}", report.render());
+        assert!(report.render().contains("1 rows matched"));
     }
 
     #[test]

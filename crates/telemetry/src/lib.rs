@@ -59,5 +59,5 @@ pub use convergence::{ConvergenceRecorder, IterationSample};
 pub use export::{render_jsonl, render_prometheus, write_snapshot};
 pub use hostprof::{HostRunReport, ThreadReport};
 pub use ledger::{append_history, PhaseSample, RunRecord};
-pub use registry::{global, Counter, Gauge, HistSnapshot, Histogram, MetricsSnapshot, Registry};
+pub use registry::{global, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use span::{timed_phase, PhaseSpan};

@@ -6,13 +6,10 @@
 //! on the registry. Snapshots read through the same lock and produce
 //! plain maps for the exporters.
 
+use nulpa_obs::{bucket_index, Hist, HIST_BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i` holds
-/// values with `floor(log2(v)) == i - 1`, i.e. `[2^(i-1), 2^i)`.
-pub const HIST_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -60,7 +57,8 @@ impl Gauge {
     }
 }
 
-/// Shared histogram state: log2 buckets plus count/sum/max.
+/// Shared histogram state: the atomic recorder behind a [`Histogram`],
+/// laid out like [`Hist`] (log2 buckets plus count/sum/max).
 #[derive(Debug)]
 pub struct HistState {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -80,13 +78,15 @@ impl Default for HistState {
     }
 }
 
-/// Index of the log2 bucket holding `v`.
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
+impl HistState {
+    /// Copy out the current state.
+    pub fn snapshot(&self) -> Hist {
+        Hist {
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -106,38 +106,8 @@ impl Histogram {
     }
 
     /// Copy out the current state.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let s = &*self.0;
-        HistSnapshot {
-            buckets: s.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
-            count: s.count.load(Ordering::Relaxed),
-            sum: s.sum.load(Ordering::Relaxed),
-            max: s.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of a [`Histogram`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistSnapshot {
-    /// Per-bucket sample counts (see [`bucket_index`]).
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-impl HistSnapshot {
-    /// Mean sample, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+    pub fn snapshot(&self) -> Hist {
+        self.0.snapshot()
     }
 }
 
@@ -230,7 +200,7 @@ pub struct MetricsSnapshot {
     /// Gauge values by name.
     pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
-    pub hists: BTreeMap<String, HistSnapshot>,
+    pub hists: BTreeMap<String, Hist>,
 }
 
 /// The process-global registry every [`crate::PhaseSpan`] records into.
@@ -291,13 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
+    fn phase_durations_past_a_second_keep_resolution() {
+        let r = Registry::new();
+        let h = r.histogram("phase.iterate.ns");
+        h.record(3_000_000_000); // 3 s
+        h.record(40_000_000_000); // 40 s
+        let s = h.snapshot();
+        assert_eq!(s.buckets[bucket_index(3_000_000_000)], 1);
+        assert_eq!(s.buckets[bucket_index(40_000_000_000)], 1);
+        assert_ne!(bucket_index(3_000_000_000), bucket_index(40_000_000_000));
+        assert_eq!(s.nonzero_buckets().count(), 2);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! nulpa generate  <dataset> [options]           write a synthetic stand-in
 //! ```
 //!
-//! Graphs are read as MatrixMarket (`.mtx`) or whitespace edge lists
+//! Graphs are read as MatrixMarket (`.mtx`), binary CSR (`.bin`, as
+//! `generate --output x.bin` writes it) or whitespace edge lists
 //! (anything else); `-` reads an edge list from stdin. Outputs one label
 //! per line in vertex order.
 //!
@@ -25,11 +26,15 @@ use nu_lpa::core::{
     CoarsenConfig, LpaConfig, PulpConfig,
 };
 use nu_lpa::graph::datasets::spec_by_name;
-use nu_lpa::graph::io::{read_edge_list, read_matrix_market, write_edge_list};
+use nu_lpa::graph::io::{
+    read_binary, read_edge_list, read_matrix_market, write_binary, write_edge_list,
+};
 use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
 use nu_lpa::graph::Csr;
 use nu_lpa::metrics::{community_count, cut_fraction, imbalance, modularity_par};
+#[cfg(feature = "telemetry")]
+use nu_lpa::obs::gate::{self, Gate, Row, Rule};
 use nu_lpa::obs::{summary, ChromeTraceSink, Hist, JsonlSink, NullSink, TraceSink, Value};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -78,7 +83,7 @@ fn usage() {
          nulpa coarsen <graph> --target N [--output FILE]\n  \
          nulpa inspect <graph> [--top N]\n  \
          nulpa predict <graph> [-k N]\n  \
-         nulpa generate <dataset> [--scale F] [--output FILE]\n  \
+         nulpa generate <dataset> [--scale F] [--output FILE]   (.bin: binary CSR)\n  \
          nulpa trace <tracefile> [--top K] [--json]\n  \
          nulpa sancheck [graph] [--json]   run backends under the hazard checker\n  \
          nulpa check [--json] [--inject]   static kernel effect verifier + workspace linter\n  \
@@ -89,8 +94,8 @@ fn usage() {
          time/utilization, per-bucket vertices/edges/chunks and cursor-CAS\n  \
          retries, repair-rate trajectory, and max/mean busy imbalance.\n  \
          --trace writes a Chrome/Perfetto trace of the last run's thread\n  \
-         timelines; --check gates repair rate and imbalance against a\n  \
-         committed baseline (results/hostprof_baseline.json).\n\n\
+         timelines; --check gates iterations, repair rate and imbalance\n  \
+         against a committed baseline (results/hostprof_baseline.json).\n\n\
          STATS: runs the seq / nu-lpa / nu-lpa-sim backends with per-iteration\n  \
          convergence telemetry (dN, active fraction, entropy, modularity),\n  \
          wall-clock phase spans and heap accounting; --history appends run\n  \
@@ -121,6 +126,8 @@ fn load_graph(path: &str) -> Result<Csr, String> {
     let r = BufReader::new(f);
     if path.ends_with(".mtx") {
         read_matrix_market(r).map_err(|e| format!("{path}: {e}"))
+    } else if path.ends_with(".bin") {
+        read_binary(r).map_err(|e| format!("{path}: {e}"))
     } else {
         read_edge_list(r, None, true).map_err(|e| format!("{path}: {e}"))
     }
@@ -288,7 +295,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 #[cfg(feature = "telemetry")]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::run_meta;
     use nu_lpa::telemetry::{
         append_history, global, heap_stats, peak_rss_bytes, write_snapshot, PhaseSpan, RunRecord,
@@ -312,11 +318,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         }
         None => {
             let span = PhaseSpan::new("load");
-            let trio = vec![
-                ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-                ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-                ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-            ];
+            let trio = nu_lpa::graph::gen::builtin_trio();
             span.finish();
             trio
         }
@@ -409,22 +411,35 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             eprintln!("{} run records appended to {path}", records.len());
         }
     }
-    if let Some(path) = opt_value(args, "--write-baseline") {
-        std::fs::write(path, baseline_json(&meta, &records)).map_err(|e| format!("{path}: {e}"))?;
-        if !json {
-            eprintln!("baseline written to {path}");
-        }
-    }
     if let Some(path) = opt_value(args, "--telemetry") {
         write_snapshot(path, &global().snapshot())?;
         if !json {
             eprintln!("telemetry snapshot written to {path}");
         }
     }
+    let rows: Vec<Row> = records.iter().map(quality_row).collect();
+    write_or_check_baseline(args, &QUALITY_GATE, &meta, &rows)
+}
+
+/// `--write-baseline FILE` writes `rows` as a `gate-v1` baseline;
+/// `--check FILE` prints `gate`'s verdict table against that baseline
+/// and fails on any regression.
+#[cfg(feature = "telemetry")]
+fn write_or_check_baseline(
+    args: &[String],
+    gate: &Gate,
+    meta: &[(String, String)],
+    rows: &[Row],
+) -> Result<(), String> {
+    if let Some(path) = opt_value(args, "--write-baseline") {
+        std::fs::write(path, gate::to_json(meta, rows)).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("{} baseline written to {path}", gate.name);
+    }
     if let Some(path) = opt_value(args, "--check") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        check_against_baseline(&text, &records)?;
-        eprintln!("quality gate: ok ({} runs within tolerance)", records.len());
+        let report = gate.check_json(&text, rows)?;
+        eprint!("{}", report.render());
+        report.result()?;
     }
     Ok(())
 }
@@ -531,110 +546,30 @@ fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
     }
 }
 
-/// Serialise the quality-gate baseline: per (graph, backend) final
-/// modularity, wall-clock, and peak heap.
+/// The quality gate. Modularity is deterministic per backend, so any
+/// relative drop over 1% fails. Wall-clock and peak heap may grow 10%,
+/// and only gate above 250 ms / 16 MiB: below those floors the built-in
+/// trio measures scheduler noise, not the algorithm.
 #[cfg(feature = "telemetry")]
-fn baseline_json(meta: &[(String, String)], records: &[nu_lpa::telemetry::RunRecord]) -> String {
-    use nu_lpa::obs::json::{escape, fmt_f64};
-    let mut out = String::from("{\"meta\":");
-    out.push_str(&nu_lpa::obs::meta::meta_json(meta));
-    out.push_str(",\"entries\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"graph\":{},\"backend\":{},\"modularity\":{},\"wall_ms\":{},\"peak_heap_bytes\":{}}}",
-            escape(&r.graph),
-            escape(&r.backend),
-            fmt_f64(r.modularity),
-            fmt_f64(r.wall_ms),
-            r.peak_heap_bytes
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into())
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
+const QUALITY_GATE: Gate = Gate {
+    name: "quality",
+    rules: &[
+        Rule::higher("modularity", 0.01, 0.0),
+        Rule::lower("wall_ms", 0.10, 0.0).guarded("wall_ms", 250.0),
+        Rule::lower("peak_heap_bytes", 0.10, 0.0).guarded("peak_heap_bytes", 16.0 * 1048576.0),
+    ],
+};
 
-/// The quality gate: compare current runs against a committed baseline.
-///
-/// Fails on a >1% relative modularity drop — deterministic, so this is
-/// the hard gate. Wall-clock and peak-heap regressions fail only beyond
-/// 10% AND above absolute floors (250 ms / 16 MiB): below the floors the
-/// built-in trio measures scheduler noise, not the algorithm.
+/// A run record's quality-gate row, keyed `graph/backend`.
 #[cfg(feature = "telemetry")]
-fn check_against_baseline(
-    baseline_text: &str,
-    records: &[nu_lpa::telemetry::RunRecord],
-) -> Result<(), String> {
-    use nu_lpa::obs::json::Json;
-    const MOD_DROP_FRAC: f64 = 0.01;
-    const REGRESSION_FRAC: f64 = 0.10;
-    const WALL_FLOOR_MS: f64 = 250.0;
-    const HEAP_FLOOR_BYTES: f64 = 16.0 * (1 << 20) as f64;
-
-    let doc = nu_lpa::obs::json::parse(baseline_text)
-        .map_err(|e| format!("quality gate: baseline does not parse: {e}"))?;
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("quality gate: baseline has no `entries` array")?;
-    let mut matched = 0usize;
-    let mut failures = Vec::new();
-    for e in entries {
-        let graph = e.get("graph").and_then(Json::as_str).unwrap_or("");
-        let backend = e.get("backend").and_then(Json::as_str).unwrap_or("");
-        let Some(r) = records
-            .iter()
-            .find(|r| r.graph == graph && r.backend == backend)
-        else {
-            continue;
-        };
-        matched += 1;
-        if let Some(base_q) = e.get("modularity").and_then(Json::as_f64) {
-            let drop = base_q - r.modularity;
-            if drop > MOD_DROP_FRAC * base_q.abs().max(1e-9) {
-                failures.push(format!(
-                    "{graph}/{backend}: modularity {:.4} dropped >1% below baseline {:.4}",
-                    r.modularity, base_q
-                ));
-            }
-        }
-        if let Some(base_ms) = e.get("wall_ms").and_then(Json::as_f64) {
-            if r.wall_ms > base_ms * (1.0 + REGRESSION_FRAC) && r.wall_ms > WALL_FLOOR_MS {
-                failures.push(format!(
-                    "{graph}/{backend}: wall {:.1} ms regressed >10% over baseline {:.1} ms",
-                    r.wall_ms, base_ms
-                ));
-            }
-        }
-        if let (Some(base_heap), Some(cur_heap)) = (
-            e.get("peak_heap_bytes").and_then(Json::as_f64),
-            r.peak_heap_bytes,
-        ) {
-            let cur = cur_heap as f64;
-            if cur > base_heap * (1.0 + REGRESSION_FRAC) && cur > HEAP_FLOOR_BYTES {
-                failures.push(format!(
-                    "{graph}/{backend}: peak heap {:.1} MiB regressed >10% over baseline {:.1} MiB",
-                    cur / (1 << 20) as f64,
-                    base_heap / (1 << 20) as f64
-                ));
-            }
-        }
+fn quality_row(r: &nu_lpa::telemetry::RunRecord) -> Row {
+    let row = Row::new(format!("{}/{}", r.graph, r.backend))
+        .with("modularity", r.modularity)
+        .with("wall_ms", r.wall_ms);
+    match r.peak_heap_bytes {
+        Some(b) => row.with("peak_heap_bytes", b as f64),
+        None => row,
     }
-    if matched == 0 {
-        return Err("quality gate: no current runs matched any baseline entry".into());
-    }
-    if !failures.is_empty() {
-        return Err(format!(
-            "quality gate: {} regressions:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ));
-    }
-    Ok(())
 }
 
 fn cmd_detect(args: &[String]) -> Result<(), String> {
@@ -938,7 +873,13 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     match opt_value(args, "--output") {
         Some(path) => {
             let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            write_edge_list(&d.graph, BufWriter::new(f)).map_err(|e| e.to_string())
+            let mut w = BufWriter::new(f);
+            if path.ends_with(".bin") {
+                write_binary(&d.graph, &mut w).map_err(|e| format!("{path}: {e}"))?;
+            } else {
+                write_edge_list(&d.graph, &mut w).map_err(|e| format!("{path}: {e}"))?;
+            }
+            w.flush().map_err(|e| format!("{path}: {e}"))
         }
         None => {
             let out = std::io::stdout();
@@ -993,7 +934,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 #[cfg(feature = "telemetry")]
 fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::lpa_native_hostprof;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::{meta_json, run_meta};
     use nu_lpa::telemetry::hostprof as hp;
 
@@ -1003,11 +943,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     let json = args.iter().any(|a| a == "--json");
     let graphs: Vec<(String, Csr)> = match positional(args, VALUE_FLAGS) {
         Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
+        None => nu_lpa::graph::gen::builtin_trio(),
     };
 
     let mut reports = Vec::new();
@@ -1052,32 +988,14 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
             eprintln!("chrome trace of {gname} (last ladder run) written to {path}");
         }
     }
-    if let Some(path) = opt_value(args, "--write-baseline") {
-        std::fs::write(path, hp::baseline_json(&reports)).map_err(|e| format!("{path}: {e}"))?;
-        if !json {
-            eprintln!("hostprof baseline written to {path}");
-        }
-    }
     if let Some(path) = opt_value(args, "--telemetry") {
         nu_lpa::telemetry::write_snapshot(path, &nu_lpa::telemetry::global().snapshot())?;
         if !json {
             eprintln!("telemetry snapshot written to {path}");
         }
     }
-    if let Some(path) = opt_value(args, "--check") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        match hp::check_against_baseline(&text, &reports) {
-            Ok(matched) => eprintln!("hostprof gate: ok ({matched} rows within tolerance)"),
-            Err(failures) => {
-                return Err(format!(
-                    "hostprof gate: {} regressions:\n  {}",
-                    failures.len(),
-                    failures.join("\n  ")
-                ))
-            }
-        }
-    }
-    Ok(())
+    let rows: Vec<Row> = reports.iter().map(hp::gate_row).collect();
+    write_or_check_baseline(args, &hp::GATE, &meta, &rows)
 }
 
 /// Stub when host telemetry is compiled out.
@@ -1095,11 +1013,10 @@ fn cmd_profile_host(_args: &[String]) -> Result<(), String> {
 /// component breakdowns, a roofline summary and the per-SM occupancy
 /// timeline. Without a graph argument the built-in trio is profiled;
 /// `--backend NAME` restricts the backend matrix; `--json` prints the
-/// machine-readable report the perf gate compares.
+/// machine-readable report.
 #[cfg(feature = "prof")]
 fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::run_meta;
     use nu_lpa::prof::{backends, json::report_to_json, profile_graph, render::render};
 
@@ -1109,11 +1026,7 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     let graph_path = positional(args, &["--backend", "--telemetry"]);
     let graphs: Vec<(String, Csr)> = match graph_path {
         Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
+        None => nu_lpa::graph::gen::builtin_trio(),
     };
     let specs: Vec<_> = backends()
         .into_iter()
@@ -1205,7 +1118,6 @@ fn cmd_profile_sim(_args: &[String]) -> Result<(), String> {
 #[cfg(feature = "sancheck")]
 fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::{lpa_gpu, SwapMode};
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::metrics::check_labels;
     use nu_lpa::obs::json::escape;
     use nu_lpa::sancheck::{install, uninstall, CheckerConfig};
@@ -1215,11 +1127,7 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     let graph_path = args.iter().find(|a| !a.starts_with("--"));
     let graphs: Vec<(String, Csr)> = match graph_path {
         Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
+        None => nu_lpa::graph::gen::builtin_trio(),
     };
 
     // Backend × device matrix. The CC1 run forces a Cross-Check pass after

@@ -182,6 +182,41 @@ fn generate_pipes_into_detect() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("modularity"));
 }
 
+/// `generate --output g.bin` writes the binary CSR format, and `detect`
+/// reads it back to the same labels as the text round trip.
+#[test]
+fn generate_bin_is_binary_and_detects_like_text() {
+    let mut labels = Vec::new();
+    for name in ["gen-roundtrip.bin", "gen-roundtrip.txt"] {
+        let gpath = tmp(name);
+        let out = Command::new(BIN)
+            .args(["generate", "kmer_V1r", "--scale", "0.00005", "--output"])
+            .arg(&gpath)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&gpath).unwrap();
+        assert_eq!(bytes.starts_with(b"NULPACSR"), name.ends_with(".bin"));
+        let out = Command::new(BIN)
+            .arg("detect")
+            .arg(&gpath)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        labels.push(String::from_utf8(out.stdout).unwrap());
+    }
+    assert!(labels[0].lines().count() > 1);
+    assert_eq!(labels[0], labels[1]);
+}
+
 #[test]
 fn coarsen_shrinks_graph() {
     let path = tmp("coarsen-in.txt");
@@ -299,6 +334,50 @@ fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("modularity"), "{err}");
     assert!(err.contains("dropped"), "{err}");
+}
+
+/// `profile --host --write-baseline` → `--check` passes, and a baseline
+/// whose iteration counts are bumped fails naming `iterations`.
+#[cfg(feature = "telemetry")]
+#[test]
+fn host_gate_passes_clean_and_fails_injected_regression() {
+    let base = tmp("host-gate-baseline.json");
+    let out = Command::new(BIN)
+        .args(["profile", "--host", "--write-baseline"])
+        .arg(&base)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = Command::new(BIN)
+        .args(["profile", "--host", "--check"])
+        .arg(&base)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "clean gate should pass: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("hostprof gate: ok"));
+
+    let text = std::fs::read_to_string(&base).unwrap();
+    let doctored = text.replace("\"iterations\":", "\"iterations\":1");
+    assert_ne!(doctored, text, "injection must change the baseline");
+    let bad = tmp("host-gate-baseline-doctored.json");
+    std::fs::write(&bad, doctored).unwrap();
+    let out = Command::new(BIN)
+        .args(["profile", "--host", "--check"])
+        .arg(&bad)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "doctored gate must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("iterations"), "{err}");
+    assert!(err.contains("!= baseline"), "{err}");
 }
 
 /// `stats --json` emits one parseable object with per-run trajectories.
