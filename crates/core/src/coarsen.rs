@@ -12,7 +12,8 @@
 //! neighbour's label if the merged super-vertex stays under the cap),
 //! aggregates, and repeats until the target size or a fixed point.
 
-use crate::seq::{scramble, shuffle_candidates};
+use crate::pulp::scramble;
+use crate::seq::shuffle_candidates;
 use nulpa_graph::{Csr, DuplicatePolicy, GraphBuilder, VertexId};
 use nulpa_metrics::compact_labels;
 use std::collections::BTreeMap;

@@ -63,33 +63,6 @@ impl SwapMode {
     }
 }
 
-/// Degree thresholds splitting an iteration's active set into low-,
-/// mid-, and high-degree buckets for the native multi-thread claim loop.
-///
-/// Low-degree vertices (`degree <= low_max`) are cheap and abundant, so
-/// threads claim them in large chunks; mid-degree vertices
-/// (`low_max < degree <= mid_max`) in small chunks; high-degree hubs
-/// (`degree > mid_max`) one at a time, so a single hub can never
-/// serialize a whole chunk behind it (see DESIGN.md §10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BucketThresholds {
-    /// Largest degree still counted as "low" (default 32 — the warp
-    /// size, matching the paper's kernel switch degree).
-    pub low_max: u32,
-    /// Largest degree still counted as "mid" (default 512). Anything
-    /// above is a hub and is claimed one vertex at a time.
-    pub mid_max: u32,
-}
-
-impl Default for BucketThresholds {
-    fn default() -> Self {
-        BucketThresholds {
-            low_max: 32,
-            mid_max: 512,
-        }
-    }
-}
-
 /// Hashtable value datatype (Fig. 5 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ValueType {
@@ -149,10 +122,6 @@ pub struct LpaConfig {
     /// available parallelism. Results are bit-for-bit identical at every
     /// setting; see [`resolve_threads`].
     pub threads: usize,
-    /// Degree-bucket thresholds for the native backend's multi-thread
-    /// claim loop. They decide only which thread computes a pick, never
-    /// its value, so results do not depend on them.
-    pub buckets: BucketThresholds,
 }
 
 impl Default for LpaConfig {
@@ -170,7 +139,6 @@ impl Default for LpaConfig {
             device: DeviceConfig::a100(),
             cost: CostModel::default_gpu(),
             threads: 0,
-            buckets: BucketThresholds::default(),
         }
     }
 }
@@ -235,16 +203,6 @@ impl LpaConfig {
         }
         if self.frontier && !self.pruning {
             return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
-        }
-        let b = self.buckets;
-        if b.low_max == 0 {
-            return Err("bucket threshold low_max must be positive".into());
-        }
-        if b.low_max >= b.mid_max {
-            return Err(format!(
-                "bucket thresholds must satisfy low_max < mid_max (got {} >= {})",
-                b.low_max, b.mid_max
-            ));
         }
         self.device.validate()
     }
@@ -315,12 +273,6 @@ impl LpaConfig {
         self.threads = t;
         self
     }
-
-    /// Builder-style setter for the native backend's degree buckets.
-    pub fn with_buckets(mut self, b: BucketThresholds) -> Self {
-        self.buckets = b;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -338,37 +290,7 @@ mod tests {
         assert_eq!(c.value_type, ValueType::F32);
         assert!(c.pruning);
         assert!(!c.frontier);
-        assert_eq!(c.buckets, BucketThresholds::default());
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn bucket_threshold_defaults_and_validation() {
-        let b = BucketThresholds::default();
-        assert_eq!(b.low_max, 32);
-        assert_eq!(b.mid_max, 512);
-        let base = LpaConfig::default();
-        assert!(base
-            .with_buckets(BucketThresholds {
-                low_max: 0,
-                mid_max: 8
-            })
-            .validate()
-            .is_err());
-        assert!(base
-            .with_buckets(BucketThresholds {
-                low_max: 64,
-                mid_max: 64
-            })
-            .validate()
-            .is_err());
-        assert!(base
-            .with_buckets(BucketThresholds {
-                low_max: 4,
-                mid_max: 1024
-            })
-            .validate()
-            .is_ok());
     }
 
     #[test]

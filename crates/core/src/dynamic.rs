@@ -195,15 +195,22 @@ mod tests {
         // merged label, so no frontier update can split it. A from-scratch
         // run on the new graph does split. Dynamic updates trade this
         // occasional suboptimality for orders-of-magnitude less work.
+        // The merged labelling is built explicitly: both 5-cliques carry
+        // label 0, a fixed point of LPA on the bridged graph.
         let g = caveman_weighted(2, 5, 10.0);
-        let merged = lpa_native(&g, &cfg());
-        assert_eq!(nulpa_metrics::community_count(&merged.labels), 1);
+        let merged = vec![0; g.num_vertices()];
+        let all: Vec<VertexId> = g.vertices().collect();
+        let settled = lpa_native_from_state(&g, &cfg(), merged.clone(), &all);
+        assert_eq!(
+            settled.labels, merged,
+            "the merged labelling is a fixed point"
+        );
 
         let batch = EdgeBatch {
             insertions: vec![],
             deletions: vec![(0, 5)],
         };
-        let (g_new, r) = lpa_dynamic(&g, &merged.labels, &batch, &cfg());
+        let (g_new, r) = lpa_dynamic(&g, &merged, &batch, &cfg());
         // dynamic: stays merged (stable fixed point), converges instantly
         assert_eq!(nulpa_metrics::community_count(&r.labels), 1);
         assert_eq!(r.total_changes(), 0);

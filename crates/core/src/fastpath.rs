@@ -1,4 +1,5 @@
-//! The hot loop of [`crate::lpa_native`] (DESIGN.md §10).
+//! The hot loop of [`crate::lpa_native`]: the block-synchronous sweep
+//! (DESIGN.md §10).
 //!
 //! Every vertex's pick is the label of maximum accumulated weight among
 //! its neighbours, taken from a dense per-thread `Vec` indexed by label
@@ -7,50 +8,60 @@
 //! CSR neighbour order, GVE-LPA's strict pick — so the argmax is one
 //! strictly-greater scan over the distinct labels seen.
 //!
-//! **One thread** runs the fused asynchronous sweep: each shuffled
-//! candidate's pick is computed against the live labels and committed on
-//! the spot. No pick array, no blocks, no buckets.
+//! **Schedule.** An iteration's candidates are shuffled
+//! (`seq::shuffle_candidates`) and cut into consecutive blocks
+//! of [`SWEEP_BLOCK`] candidates. Every pick in a block reads the labels
+//! as of the block's start (Jacobi within a block), and the block's moves
+//! are stored before the next block starts (Gauss–Seidel across blocks):
+//! the simulator's wave snapshot with deferred stores, at a fixed block
+//! size. [`crate::lpa_seq`] is the one-thread definition of the same
+//! schedule.
 //!
-//! **Several threads** cut the shuffled candidate list into cache blocks
-//! of bounded adjacency volume ([`nulpa_graph::blocks::candidate_blocks`])
-//! and split each block into low/mid/high-degree buckets
-//! ([`bucket_partition`]). Threads claim bucket chunks (large chunks of
-//! cheap vertices, hubs one at a time) and compute *speculative* picks
-//! against the labels frozen at the block's start; the coordinating
-//! thread then commits the block sequentially in candidate order, and any
-//! candidate with a neighbour that moved earlier in the same block is
-//! recomputed on the spot against the live labels. A speculative pick is
-//! used only when it provably equals the serial one.
-//!
-//! **Determinism.** Either way the committed trajectory is exactly the
-//! fully sequential asynchronous sweep over the shuffled candidate list,
-//! so labels, ΔN trajectories and frontier contents are bit-identical at
-//! any `--threads N`.
+//! **Lanes.** Each thread of the run (lane 0 is the calling thread) owns
+//! a contiguous slice of the ascending candidate list and counting-sorts
+//! it by block, so it handles each block's members in ascending id order
+//! (order within a block cannot change a result). Each block runs in two
+//! phases split by a barrier. *Compute* picks each member's label, pushes its move to a
+//! lane-local list and clears the mover's neighbours' `processed` flags;
+//! in frontier mode it also CAS-claims the neighbours' worklist pushes
+//! into a lane-local list. *Commit* stores the movers' labels and marks
+//! the next block's members processed. Labels are only read during
+//! compute and only written during commit, flags are only cleared during
+//! compute and only set during commit, and every store is idempotent, so
+//! nothing depends on which lane handles a vertex or in what order:
+//! labels, ΔN and frontier contents are bit-identical at any `--threads
+//! N`. The workers are spawned once per run and park on the barrier
+//! between iterations.
 
-use crate::config::BucketThresholds;
 use crate::hostprof::{HostProfData, RunProf, SpanKind, ThreadProf};
-use nulpa_graph::{blocks::candidate_blocks, Csr, VertexId};
+use crate::seq::{shuffle_candidates, SWEEP_BLOCK};
+use nulpa_graph::{Csr, VertexId};
 use nulpa_hashtab::HashValue;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
-/// Work-claim chunk sizes per bucket: low-degree vertices are claimed in
-/// large runs (cheap, abundant), mid-degree in short runs, hubs one at a
-/// time so one heavyweight vertex never hides a chunk of light ones.
-const CHUNK_SIZES: [usize; 3] = [256, 16, 1];
+/// Degree thresholds splitting candidates into low-, mid- and
+/// high-degree buckets. They steer nothing in the sweep; the host
+/// profiler attributes work per bucket at the defaults.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BucketThresholds {
+    /// Largest degree still counted as "low" (default 32 — the warp
+    /// size, matching the paper's kernel switch degree).
+    pub low_max: u32,
+    /// Largest degree still counted as "mid" (default 512). Anything
+    /// above is a hub.
+    pub mid_max: u32,
+}
 
-/// Sentinel in the pick array: "no label change for this candidate".
-const NO_MOVE: u32 = u32::MAX;
-
-/// Floor for the number of commit blocks per iteration. The probability
-/// that a candidate needs the serial repair path grows with the fraction
-/// of the graph inside its block, so small graphs are cut into at least
-/// this many blocks instead of one L2-sized block.
-const MIN_BLOCKS: usize = 64;
-
-/// Floor for the per-block adjacency budget, in stored edges.
-const MIN_BLOCK_EDGES: usize = 64;
+impl Default for BucketThresholds {
+    fn default() -> Self {
+        BucketThresholds {
+            low_max: 32,
+            mid_max: 512,
+        }
+    }
+}
 
 /// Degree bucket of a vertex: 0 (low), 1 (mid) or 2 (high).
 fn bucket_of(degree: usize, t: BucketThresholds) -> usize {
@@ -112,259 +123,368 @@ impl<V: HashValue> ScratchPad<V> {
     }
 }
 
-/// Reusable state for the native sweep, created once per `lpa_native`
-/// run.
-pub(crate) struct FastState<V> {
-    threads: usize,
-    thresholds: BucketThresholds,
-    /// Upper bound on the per-block adjacency budget (L2 sizing).
-    block_edges: usize,
-    /// Per-candidate speculative pick (label to adopt, or [`NO_MOVE`]),
-    /// indexed like the iteration's candidate list. Written by whichever
-    /// thread computed the candidate, read by the committing thread after
-    /// a barrier. Unused by the single-thread sweep.
-    picks: Vec<AtomicU32>,
-    /// One scratch pad per thread (index 0 is the coordinating thread).
-    scratch: Vec<ScratchPad<V>>,
-    /// `moved[v] == block_stamp` iff `v`'s label changed during the
-    /// block currently being committed — the staleness test for the
-    /// serial repair path. Empty for an unprofiled single-thread run.
-    moved: Vec<u64>,
-    block_stamp: u64,
-    /// Host-profiling recorders (zero-sized no-ops unless the `hostprof`
-    /// feature is on *and* the run asked for a profile): one per thread,
-    /// parallel to `scratch`, plus the run-level repair ledger.
-    prof: Vec<ThreadProf>,
-    runprof: RunProf,
+/// How long a barrier waiter spins (yielding between rounds) before it
+/// parks. Waking a parked lane took 0.5–1.5 ms on a 2-vCPU KVM guest,
+/// longer than most imbalances between lanes, so a spin of about that
+/// length keeps lanes off the slow path without burning a core on a long
+/// serial prologue.
+const SPIN_LIMIT: Duration = Duration::from_millis(1);
+
+/// Spin-then-park barrier over the lanes of one run: a waiter spins on
+/// the generation counter for up to [`SPIN_LIMIT`] — only when every lane
+/// has a hardware thread of its own — yielding its core between rounds,
+/// then parks on a condition variable.
+/// A lane that panics abandons the barrier, so the others panic too
+/// instead of waiting forever. The mutex guards no data, so a poisoned
+/// lock is taken as is.
+struct LaneBarrier {
+    lanes: usize,
+    spin: bool,
+    arrived: AtomicUsize,
+    gen: AtomicUsize,
+    sleepers: AtomicUsize,
+    abandoned: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
 }
 
-/// Frontier-mode bookkeeping threaded through the commit: a moving
-/// vertex records itself and CAS-claims worklist pushes for its
-/// neighbours, in commit order.
-pub(crate) struct FrontierCtx<'a> {
-    pub queued: &'a [AtomicU8],
-    pub worklist: &'a mut Vec<VertexId>,
-    pub movers: &'a mut Vec<VertexId>,
-}
-
-impl<V: HashValue> FastState<V> {
-    pub(crate) fn new(
-        n: usize,
-        threads: usize,
-        thresholds: BucketThresholds,
-        block_edges: usize,
-        profile: bool,
-    ) -> Self {
-        let threads = threads.max(1);
-        let runprof = RunProf::new(profile);
-        let prof = runprof.thread_recorders(threads);
-        // Blocks (and their staleness stamps) exist for the claim/commit
-        // path, and for the profiler's would-be repair count at 1 thread.
-        let blocked = threads > 1 || prof[0].enabled();
-        FastState {
-            threads,
-            thresholds,
-            block_edges: block_edges.max(MIN_BLOCK_EDGES),
-            picks: Vec::new(),
-            scratch: (0..threads).map(|_| ScratchPad::new(n)).collect(),
-            moved: vec![0; if blocked { n } else { 0 }],
-            block_stamp: 0,
-            prof,
-            runprof,
+impl LaneBarrier {
+    fn new(lanes: usize) -> Self {
+        let spin =
+            lanes > 1 && lanes <= std::thread::available_parallelism().map_or(1, |p| p.get());
+        LaneBarrier {
+            lanes,
+            spin,
+            arrived: AtomicUsize::new(0),
+            gen: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            abandoned: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
         }
     }
 
-    /// Hand over the recorded host profile (`None` when profiling was
-    /// off or compiled out). Call once, after the last iteration.
-    pub(crate) fn take_profile(&mut self) -> Option<HostProfData> {
-        self.runprof.collect(&mut self.prof)
+    fn wait(&self) {
+        if self.lanes == 1 {
+            return;
+        }
+        // The AcqRel arrivals chain every lane's earlier (Relaxed) label
+        // and flag stores into the releaser, whose store of `gen` pairs
+        // with the waiters' Acquire (or SeqCst) loads of it: everything
+        // a lane stored before the barrier is visible to all after it.
+        let gen = self.gen.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.lanes {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.gen.store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.wake.notify_all();
+            }
+            return;
+        }
+        if self.spin {
+            let start = Instant::now();
+            while start.elapsed() < SPIN_LIMIT {
+                for _ in 0..64 {
+                    if self.gen.load(Ordering::Acquire) != gen {
+                        return;
+                    }
+                    std::hint::spin_loop();
+                }
+                // A lane whose core is shared with a lagging lane hands
+                // it the core instead of spinning out its time slice.
+                std::thread::yield_now();
+                self.check();
+            }
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.gen.load(Ordering::SeqCst) == gen {
+            self.check();
+            guard = self.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Per-block adjacency budget for this active set: at most the L2
-    /// cap, but small enough to cut at least [`MIN_BLOCKS`] blocks so the
-    /// serial repair path stays rare even on small graphs.
-    fn budget(&self, total_edges: usize) -> usize {
-        (total_edges / MIN_BLOCKS).clamp(MIN_BLOCK_EDGES, self.block_edges)
+    fn check(&self) {
+        assert!(
+            !self.abandoned.load(Ordering::SeqCst),
+            "a sweep lane panicked"
+        );
     }
 
-    /// One LPA iteration over `candidates` (already shuffled); returns
-    /// ΔN. Labels and `processed` flags are mutated exactly as a fully
-    /// sequential sweep in candidate order would; in frontier mode the
-    /// worklist/movers in `fr` are extended in that same deterministic
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_iteration(
-        &mut self,
-        g: &Csr,
-        iter: u32,
-        candidates: &[VertexId],
-        pick_less: bool,
-        labels: &[AtomicU32],
-        processed: &[AtomicU8],
-        mut fr: Option<FrontierCtx<'_>>,
-    ) -> usize {
-        if self.threads == 1 && !self.prof[0].enabled() {
-            // The fused sweep: pick against the live labels, commit on
-            // the spot.
-            let scratch = &mut self.scratch[0];
-            let mut changed = 0usize;
-            for &v in candidates {
-                processed[v as usize].store(1, Ordering::Relaxed);
-                if let Some(c) = compute_pick(g, v, pick_less, labels, scratch) {
-                    adopt(g, v, c, labels, processed, &mut fr);
-                    changed += 1;
+    fn abandon(&self) {
+        self.abandoned.store(true, Ordering::SeqCst);
+        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.wake.notify_all();
+    }
+}
+
+/// Abandons the barrier when dropped during a panic.
+struct AbandonOnPanic<'a>(&'a LaneBarrier);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abandon();
+        }
+    }
+}
+
+/// One iteration's read-only inputs, published by the lead thread while
+/// the workers are parked.
+#[derive(Default)]
+struct Job {
+    iter: u32,
+    pick_less: bool,
+    stop: bool,
+    /// The ascending candidate list.
+    cands: Vec<VertexId>,
+    /// `block[a]`: the block of `cands[a]`, i.e. its position in the
+    /// shuffled candidate list divided by [`SWEEP_BLOCK`].
+    block: Vec<u32>,
+}
+
+/// What a lane hands the lead after an iteration.
+#[derive(Default)]
+struct LaneOut {
+    moved: usize,
+    worklist: Vec<VertexId>,
+    movers: Vec<VertexId>,
+}
+
+/// State every lane reads, plus the per-lane output slots.
+struct Shared<'a> {
+    g: &'a Csr,
+    labels: &'a [AtomicU32],
+    processed: &'a [AtomicU8],
+    /// Frontier mode's `queued` flags; empty in dense mode.
+    queued: &'a [AtomicU8],
+    barrier: LaneBarrier,
+    job: RwLock<Job>,
+    outs: Vec<Mutex<LaneOut>>,
+}
+
+/// One thread's sweep state.
+struct Lane<V> {
+    id: usize,
+    scratch: ScratchPad<V>,
+    prof: ThreadProf,
+    /// This lane's members of the current iteration, grouped by block
+    /// and ascending within a block; block `b` is
+    /// `items[starts[b]..starts[b + 1]]`.
+    items: Vec<VertexId>,
+    starts: Vec<usize>,
+    moves: Vec<(VertexId, VertexId)>,
+}
+
+impl<V: HashValue> Lane<V> {
+    fn new(id: usize, n: usize, prof: ThreadProf) -> Self {
+        Lane {
+            id,
+            scratch: ScratchPad::new(n),
+            prof,
+            items: Vec::new(),
+            starts: Vec::new(),
+            moves: Vec::new(),
+        }
+    }
+
+    /// Worker loop: wait for the lead to publish an iteration, sweep
+    /// this lane's share of it, repeat until told to stop.
+    fn serve(&mut self, sh: &Shared<'_>) {
+        let _abandon = AbandonOnPanic(&sh.barrier);
+        loop {
+            sh.barrier.wait();
+            {
+                let job = sh.job.read().expect("a sweep lane panicked");
+                if job.stop {
+                    return;
+                }
+                self.sweep(sh, &job);
+            }
+            // Released the job first, so the lead's next write never
+            // waits on a reader.
+            sh.barrier.wait();
+        }
+    }
+
+    /// Sweep this lane's share of one iteration, block by block, and
+    /// leave its output in `sh.outs[id]`; returns the time spent in
+    /// commit spans. The caller then waits on the barrier every lane
+    /// passes once the iteration is fully committed.
+    ///
+    /// A block's `processed` marks are stored before the barrier that
+    /// opens its compute phase, so compute can clear a mover's
+    /// neighbours' flags while the mover's adjacency is still in cache;
+    /// the labels are stored after the barrier that closes it. Marks
+    /// (and label stores) and clears are thus always split by a barrier,
+    /// and the flags end exactly as if each block were marked, picked,
+    /// stored and cleared in turn.
+    fn sweep(&mut self, sh: &Shared<'_>, job: &Job) -> u64 {
+        let Lane {
+            id,
+            scratch,
+            prof,
+            items,
+            starts,
+            moves,
+        } = self;
+        // Counting-sort this lane's slice of the ascending candidates by
+        // block, so each block's members come out in ascending id order.
+        let m = job.cands.len();
+        let lanes = sh.barrier.lanes;
+        let (lo, hi) = (*id * m / lanes, (*id + 1) * m / lanes);
+        let blocks = m.div_ceil(SWEEP_BLOCK);
+        starts.clear();
+        if lanes == 1 {
+            // The only lane owns every block whole.
+            starts.extend((0..=blocks).map(|b| (b * SWEEP_BLOCK).min(m)));
+        } else {
+            starts.resize(blocks + 1, 0);
+            for &b in &job.block[lo..hi] {
+                starts[b as usize + 1] += 1;
+            }
+            for b in 0..blocks {
+                starts[b + 1] += starts[b];
+            }
+        }
+        items.resize(hi - lo, 0);
+        for (&v, &b) in job.cands[lo..hi].iter().zip(&job.block[lo..hi]) {
+            let next = &mut starts[b as usize];
+            items[*next] = v;
+            *next += 1;
+        }
+        // Each `starts[b]` now holds block `b`'s end, its successor's start.
+        starts.rotate_right(1);
+        starts[0] = 0;
+        let members = |b: usize| &items[starts[b]..starts[b + 1]];
+        let mark = |b: usize| {
+            for &v in members(b) {
+                sh.processed[v as usize].store(1, Ordering::Relaxed);
+            }
+        };
+        let mut guard = sh.outs[*id].lock().expect("a sweep lane panicked");
+        let out = &mut *guard;
+        let frontier = !sh.queued.is_empty();
+        let mut commit_ns = 0;
+        if blocks > 0 {
+            mark(0);
+        }
+        for b in 0..blocks {
+            sh.barrier.wait();
+            prof.begin_span();
+            for &v in members(b) {
+                let Some(c) = compute_pick(sh.g, v, job.pick_less, sh.labels, scratch) else {
+                    continue;
+                };
+                moves.push((v, c));
+                let nbrs = sh.g.neighbor_ids(v);
+                if frontier {
+                    out.movers.push(v);
+                    for &j in nbrs {
+                        sh.processed[j as usize].store(0, Ordering::Relaxed);
+                        if sh.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
+                            out.worklist.push(j);
+                        }
+                    }
+                } else {
+                    for &j in nbrs {
+                        sh.processed[j as usize].store(0, Ordering::Relaxed);
+                    }
                 }
             }
-            return changed;
-        }
-
-        let total_edges: usize = candidates.iter().map(|&v| g.degree(v)).sum();
-        let blocks = candidate_blocks(g, candidates, self.budget(total_edges));
-        let mut changed = 0usize;
-        let mut repaired = 0u64;
-        let mut repair_blocks = 0u32;
-        let mut commit_ns = 0u64;
-        if self.threads == 1 {
-            // Profiled single-thread run: the same fused sweep, cut into
-            // the blocks a multi-thread run would use, so the per-bucket
-            // work and the would-be repairs (the `IterRepairStats`) match
-            // any thread count and the block spans tile the wall time.
-            let lead = &mut self.scratch[0];
-            let tp = &mut self.prof[0];
-            for (bi, block) in blocks.iter().enumerate() {
-                tp.begin_span();
+            if prof.enabled() {
                 let mut work = [(0u64, 0u64); 3];
-                for &v in &candidates[block.clone()] {
-                    let d = g.degree(v);
-                    let w = &mut work[bucket_of(d, self.thresholds)];
+                for &v in members(b) {
+                    let d = sh.g.degree(v);
+                    let w = &mut work[bucket_of(d, BucketThresholds::default())];
                     w.0 += 1;
                     w.1 += d as u64;
                 }
                 for (k, &(vertices, edges)) in work.iter().enumerate() {
                     if vertices > 0 {
-                        tp.count_chunk(k, vertices, edges);
+                        prof.count_chunk(k, vertices, edges);
                     }
                 }
-                self.block_stamp += 1;
-                let (c, rep) = commit_block(
-                    g,
-                    candidates,
-                    block.clone(),
-                    None,
-                    pick_less,
-                    labels,
-                    processed,
-                    lead,
-                    &mut self.moved,
-                    self.block_stamp,
-                    &mut fr,
-                );
-                changed += c;
-                repaired += rep;
-                repair_blocks += (rep > 0) as u32;
-                commit_ns += tp.end_span(SpanKind::Commit, iter, bi as u32);
             }
-        } else {
-            let buckets: Vec<[Vec<usize>; 3]> = blocks
-                .iter()
-                .map(|b| {
-                    let mut bk = bucket_partition(g, &candidates[b.clone()], self.thresholds);
-                    for list in bk.iter_mut() {
-                        for i in list.iter_mut() {
-                            *i += b.start;
-                        }
-                    }
-                    bk
-                })
-                .collect();
-            if self.picks.len() < candidates.len() {
-                self.picks
-                    .resize_with(candidates.len(), || AtomicU32::new(NO_MOVE));
+            prof.end_span(SpanKind::Compute, job.iter, b as u32);
+            sh.barrier.wait();
+
+            prof.begin_span();
+            out.moved += moves.len();
+            for (v, c) in moves.drain(..) {
+                sh.labels[v as usize].store(c, Ordering::Relaxed);
             }
-            let t = self.threads;
-            let cursors: Vec<[AtomicUsize; 3]> =
-                blocks.iter().map(|_| Default::default()).collect();
-            let barrier = Barrier::new(t);
-            let picks = &self.picks[..];
-            let blocks = &blocks[..];
-            let buckets = &buckets[..];
-            let cursors = &cursors[..];
-            let barrier = &barrier;
-            let moved = &mut self.moved;
-            let block_stamp = &mut self.block_stamp;
-            let (lead, rest) = self.scratch.split_at_mut(1);
-            let lead = &mut lead[0];
-            let (plead, prest) = self.prof.split_at_mut(1);
-            let plead = &mut plead[0];
-            std::thread::scope(|s| {
-                for (scratch, tp) in rest.iter_mut().zip(prest.iter_mut()) {
-                    s.spawn(move || {
-                        for bi in 0..blocks.len() {
-                            barrier.wait();
-                            tp.begin_span();
-                            compute_block(
-                                g,
-                                candidates,
-                                &buckets[bi],
-                                &cursors[bi],
-                                picks,
-                                pick_less,
-                                labels,
-                                scratch,
-                                tp,
-                            );
-                            tp.end_span(SpanKind::Compute, iter, bi as u32);
-                            barrier.wait();
-                        }
-                    });
-                }
-                for (bi, block) in blocks.iter().enumerate() {
-                    barrier.wait();
-                    plead.begin_span();
-                    compute_block(
-                        g,
-                        candidates,
-                        &buckets[bi],
-                        &cursors[bi],
-                        picks,
-                        pick_less,
-                        labels,
-                        lead,
-                        plead,
-                    );
-                    plead.end_span(SpanKind::Compute, iter, bi as u32);
-                    // Workers park at the next block's start barrier
-                    // while the lead commits, so no thread reads labels
-                    // concurrently with the sequential commit below.
-                    barrier.wait();
-                    *block_stamp += 1;
-                    plead.begin_span();
-                    let (c, rep) = commit_block(
-                        g,
-                        candidates,
-                        block.clone(),
-                        Some(picks),
-                        pick_less,
-                        labels,
-                        processed,
-                        lead,
-                        moved,
-                        *block_stamp,
-                        &mut fr,
-                    );
-                    changed += c;
-                    repaired += rep;
-                    repair_blocks += (rep > 0) as u32;
-                    commit_ns += plead.end_span(SpanKind::Commit, iter, bi as u32);
-                }
-            });
+            if b + 1 < blocks {
+                mark(b + 1);
+            }
+            commit_ns += prof.end_span(SpanKind::Commit, job.iter, b as u32);
+        }
+        commit_ns
+    }
+}
+
+/// The lead's handle on a running sweep: one call per iteration.
+pub(crate) struct Sweep<'s, 'a, V> {
+    shared: &'s Shared<'a>,
+    lead: Lane<V>,
+    runprof: RunProf,
+    /// Shuffle scratch: the shuffled order of the candidate indices.
+    order: Vec<u32>,
+}
+
+impl<V: HashValue> Sweep<'_, '_, V> {
+    /// One LPA iteration over the ascending `candidates` (lent to the
+    /// lanes for the iteration); returns ΔN. In frontier mode the lanes'
+    /// worklist pushes and movers are appended to `worklist` and
+    /// `movers`, in no particular order.
+    pub(crate) fn run_iteration(
+        &mut self,
+        iter: u32,
+        candidates: &mut Vec<VertexId>,
+        pick_less: bool,
+        worklist: &mut Vec<VertexId>,
+        movers: &mut Vec<VertexId>,
+    ) -> usize {
+        let sh = self.shared;
+        {
+            let mut job = sh.job.write().expect("a sweep lane panicked");
+            job.iter = iter;
+            job.pick_less = pick_less;
+            // Shuffling the indices draws the same permutation as
+            // shuffling the candidates themselves; invert it into blocks.
+            let m = candidates.len();
+            self.order.clear();
+            self.order.extend(0..m as u32);
+            shuffle_candidates(&mut self.order, iter);
+            job.block.resize(m, 0);
+            for (pos, &a) in self.order.iter().enumerate() {
+                job.block[a as usize] = (pos / SWEEP_BLOCK) as u32;
+            }
+            std::mem::swap(&mut job.cands, candidates);
+        }
+        sh.barrier.wait();
+        let commit_ns = {
+            let job = sh.job.read().expect("a sweep lane panicked");
+            self.lead.sweep(sh, &job)
+        };
+        sh.barrier.wait();
+        let mut job = sh.job.write().expect("a sweep lane panicked");
+        std::mem::swap(&mut job.cands, candidates);
+        drop(job);
+
+        let mut changed = 0;
+        for slot in &sh.outs {
+            let mut out = slot.lock().expect("a sweep lane panicked");
+            changed += std::mem::take(&mut out.moved);
+            worklist.append(&mut out.worklist);
+            movers.append(&mut out.movers);
         }
         self.runprof.record_iter(
             iter,
-            blocks.len() as u32,
+            candidates.len().div_ceil(SWEEP_BLOCK) as u32,
             candidates.len() as u64,
-            repaired,
-            repair_blocks,
             changed as u64,
             commit_ns,
         );
@@ -372,50 +492,71 @@ impl<V: HashValue> FastState<V> {
     }
 }
 
-/// Claim-and-compute loop for one block: threads pull per-bucket chunks
-/// off shared cursors until the block is drained. Every candidate index
-/// is computed by exactly one thread; the stored pick is independent of
-/// which thread that is (labels are frozen for the whole block).
-#[allow(clippy::too_many_arguments)]
-fn compute_block<V: HashValue>(
+/// Start the run's lanes over `labels`/`processed` (and, in frontier
+/// mode, a non-empty `queued`), hand the lead's [`Sweep`] to `body`,
+/// then stop the workers. Returns `body`'s result and the host profile
+/// (`None` unless `profile` is set and the `hostprof` feature is on).
+pub(crate) fn with_lanes<V: HashValue, R>(
     g: &Csr,
-    candidates: &[VertexId],
-    buckets: &[Vec<usize>; 3],
-    cursors: &[AtomicUsize; 3],
-    picks: &[AtomicU32],
-    pick_less: bool,
     labels: &[AtomicU32],
-    scratch: &mut ScratchPad<V>,
-    tp: &mut ThreadProf,
-) {
-    for (k, idxs) in buckets.iter().enumerate() {
-        let chunk = CHUNK_SIZES[k];
-        loop {
-            let start = tp.claim(&cursors[k], k, chunk, idxs.len());
-            if start >= idxs.len() {
-                break;
-            }
-            let end = (start + chunk).min(idxs.len());
-            for &i in &idxs[start..end] {
-                let pick = compute_pick(g, candidates[i], pick_less, labels, scratch);
-                picks[i].store(pick.unwrap_or(NO_MOVE), Ordering::Relaxed);
-            }
-            if tp.enabled() {
-                let edges = idxs[start..end]
-                    .iter()
-                    .map(|&i| g.degree(candidates[i]) as u64)
-                    .sum::<u64>();
-                tp.count_chunk(k, (end - start) as u64, edges);
-            }
-        }
-    }
+    processed: &[AtomicU8],
+    queued: &[AtomicU8],
+    threads: usize,
+    profile: bool,
+    body: impl FnOnce(&mut Sweep<'_, '_, V>) -> R,
+) -> (R, Option<HostProfData>) {
+    let lanes = threads.max(1);
+    let n = g.num_vertices();
+    let runprof = RunProf::new(profile);
+    let mut recorders = runprof.thread_recorders(lanes);
+    let shared = Shared {
+        g,
+        labels,
+        processed,
+        queued,
+        barrier: LaneBarrier::new(lanes),
+        job: RwLock::new(Job::default()),
+        outs: (0..lanes).map(|_| Mutex::default()).collect(),
+    };
+    let sh = &shared;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = recorders
+            .drain(1..)
+            .enumerate()
+            .map(|(k, tp)| {
+                s.spawn(move || {
+                    let mut lane = Lane::<V>::new(k + 1, n, tp);
+                    lane.serve(sh);
+                    lane.prof
+                })
+            })
+            .collect();
+        let lead = Lane::new(0, n, recorders.pop().expect("one recorder per lane"));
+        let mut sweep = Sweep {
+            shared: sh,
+            lead,
+            runprof,
+            order: Vec::new(),
+        };
+        let abandon = AbandonOnPanic(&sh.barrier);
+        let r = body(&mut sweep);
+        sh.job.write().expect("a sweep lane panicked").stop = true;
+        sh.barrier.wait();
+        drop(abandon);
+        let mut profs = vec![sweep.lead.prof];
+        profs.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("sweep lane panicked")),
+        );
+        (r, sweep.runprof.collect(&mut profs))
+    })
 }
 
 /// Compute one vertex's pick against the current labels: accumulate
 /// neighbour label weights into the dense scratch in CSR order, then
 /// take the first maximum in first-touched order (a strictly-greater
-/// scan of `touched`). The pick is a pure function of the label state,
-/// so it cannot depend on bucket or chunk scheduling.
+/// scan of `touched`). The pick is a pure function of the label state.
 fn compute_pick<V: HashValue>(
     g: &Csr,
     v: VertexId,
@@ -447,87 +588,6 @@ fn compute_pick<V: HashValue>(
     let (c_star, _) = best?;
     let cur = labels[v as usize].load(Ordering::Relaxed);
     (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
-}
-
-/// Commit `v`'s move to label `c`: store it, clear the neighbours'
-/// `processed` flags, and — in frontier mode — record the mover and
-/// CAS-claim the neighbours' worklist pushes.
-fn adopt(
-    g: &Csr,
-    v: VertexId,
-    c: VertexId,
-    labels: &[AtomicU32],
-    processed: &[AtomicU8],
-    fr: &mut Option<FrontierCtx<'_>>,
-) {
-    labels[v as usize].store(c, Ordering::Relaxed);
-    match fr {
-        Some(ctx) => {
-            ctx.movers.push(v);
-            for &j in g.neighbor_ids(v) {
-                processed[j as usize].store(0, Ordering::Relaxed);
-                if ctx.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
-                    ctx.worklist.push(j);
-                }
-            }
-        }
-        None => {
-            for &j in g.neighbor_ids(v) {
-                processed[j as usize].store(0, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Sequentially commit one block in candidate order (lead thread only),
-/// reproducing the fully sequential asynchronous sweep exactly: each
-/// candidate is marked processed, its speculative pick is used unless a
-/// neighbour moved earlier in this block (in which case the pick is
-/// recomputed against the live labels), and a move is adopted on the
-/// spot. With `picks == None` every pick is computed live and stale
-/// candidates are only counted.
-///
-/// Returns `(ΔN, stale candidates)`. The stale count depends only on the
-/// block partition and commit order — both deterministic — so it is
-/// identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn commit_block<V: HashValue>(
-    g: &Csr,
-    candidates: &[VertexId],
-    block: Range<usize>,
-    picks: Option<&[AtomicU32]>,
-    pick_less: bool,
-    labels: &[AtomicU32],
-    processed: &[AtomicU8],
-    scratch: &mut ScratchPad<V>,
-    moved: &mut [u64],
-    block_stamp: u64,
-    fr: &mut Option<FrontierCtx<'_>>,
-) -> (usize, u64) {
-    let mut changed = 0usize;
-    let mut repaired = 0u64;
-    for i in block {
-        let v = candidates[i];
-        processed[v as usize].store(1, Ordering::Relaxed);
-        let stale = g
-            .neighbor_ids(v)
-            .iter()
-            .any(|&j| moved[j as usize] == block_stamp);
-        repaired += stale as u64;
-        let pick = match picks {
-            Some(p) if !stale => {
-                let p = p[i].load(Ordering::Relaxed);
-                (p != NO_MOVE).then_some(p)
-            }
-            _ => compute_pick(g, v, pick_less, labels, scratch),
-        };
-        if let Some(c) = pick {
-            adopt(g, v, c, labels, processed, fr);
-            moved[v as usize] = block_stamp;
-            changed += 1;
-        }
-    }
-    (changed, repaired)
 }
 
 #[cfg(test)]
@@ -619,5 +679,25 @@ mod tests {
             .add_undirected_edge(0, 2, 1.5)
             .build();
         assert_eq!(compute_pick(&g, 0, false, &labels, &mut s), Some(1));
+    }
+
+    #[test]
+    fn barrier_releases_every_round() {
+        let barrier = LaneBarrier::new(3);
+        let rounds = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for r in 0..200 {
+                        // nobody may start round r + 1 before all three
+                        // have finished round r
+                        assert!(rounds.load(Ordering::SeqCst) >= 3 * r);
+                        rounds.fetch_add(1, Ordering::SeqCst);
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(rounds.into_inner(), 600);
     }
 }

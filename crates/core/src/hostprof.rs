@@ -1,39 +1,31 @@
-//! Host-parallel execution profiling for the native fast path.
+//! Host-parallel execution profiling for the native sweep.
 //!
-//! The fast path (`crates/core/src/fastpath.rs`) interleaves a parallel
-//! speculative-compute phase with a sequential repair-commit phase per
-//! cache block; where multi-core time actually goes — thread imbalance,
-//! cursor contention, repair serialization — is invisible from the
-//! outside. This module is the measurement side: a per-thread recorder
-//! threaded through the claim/compute/commit loops that captures
+//! The sweep (`crates/core/src/fastpath.rs`) runs every block in two
+//! phases split by a barrier: each lane computes its members' picks,
+//! then commits its movers. Where multi-core time actually goes —
+//! thread imbalance, barrier waits, serial prologue — is invisible from
+//! the outside. This module is the measurement side: a per-thread
+//! recorder threaded through the lane loop that captures
 //!
-//! * **per-thread span timelines** — one `compute` span per (thread,
-//!   block) and one `commit` span per block on the lead thread, in
-//!   nanoseconds since the run started, renderable as a Chrome trace (a
-//!   one-thread run, whose sweep is fused, records only the `commit`
-//!   spans);
-//! * **per-bucket work counters** — vertices and edges scanned, chunks
-//!   claimed, and cursor-CAS retries (a direct contention proxy) split
-//!   by the low/mid/high degree buckets;
-//! * **per-iteration repair statistics** — how many speculative picks
-//!   the sequential commit had to recompute and how many blocks
-//!   serialized behind the lead, plus commit wall time.
+//! * **per-thread span timelines** — one `compute` and one `commit` span
+//!   per (thread, block), at every thread count, in nanoseconds since the
+//!   run started, renderable as a Chrome trace; the gaps between a
+//!   thread's spans are barrier waits and the lead's serial prologue;
+//! * **per-bucket work counters** — vertices and edges scanned, split by
+//!   the low/mid/high degree buckets at the default thresholds;
+//! * **per-iteration schedule statistics** — blocks, candidates and
+//!   committed moves, plus the lead's commit wall time.
 //!
 //! Everything here is **provably neutral**: with the `hostprof` cargo
-//! feature off the recorder types are zero-sized no-ops (the claim path
-//! compiles back to the exact `fetch_add` the unprofiled build uses),
-//! and even with the feature on nothing is timed or counted until a run
-//! is started through [`crate::lpa_native_hostprof`] — the committed
-//! label trajectory is bit-identical either way, because speculative
-//! picks are pure functions of block-frozen labels and the claim
-//! mechanism only decides *which thread* computes a pick, never its
-//! value. Aggregation, rendering, and the regression gate live in
-//! `nulpa-telemetry`'s `hostprof` module; this side stays plain data.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! feature off the recorder types are zero-sized no-ops, and even with
+//! the feature on nothing is timed or counted until a run is started
+//! through [`crate::lpa_native_hostprof`] — the recorder only observes
+//! which thread did what, never what was computed. Aggregation,
+//! rendering, and the regression gate live in `nulpa-telemetry`'s
+//! `hostprof` module; this side stays plain data.
 
 /// Human-readable names of the three degree buckets, indexable by the
-/// bucket id used throughout the fast path.
+/// bucket id used throughout the host profiler.
 pub const BUCKET_NAMES: [&str; 3] = ["low", "mid", "high"];
 
 /// Work attributed to one degree bucket by one thread.
@@ -43,10 +35,10 @@ pub struct BucketCounters {
     pub vertices: u64,
     /// Stored (directed) edges scanned while computing those picks.
     pub edges: u64,
-    /// Work chunks claimed off the bucket's shared cursor.
+    /// (block, thread) work units that touched the bucket.
     pub chunks: u64,
-    /// Failed `compare_exchange_weak` attempts while claiming — each one
-    /// means another thread won the cursor word in the same window.
+    /// Work-claim CAS retries. Always 0: lanes own their members, so
+    /// nothing is claimed.
     pub cas_retries: u64,
 }
 
@@ -63,10 +55,10 @@ impl BucketCounters {
 /// What a recorded span covered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Parallel speculative-pick phase of one block.
+    /// Pick phase of one block: the lane's members read the labels as
+    /// of the block's start.
     Compute,
-    /// Sequential repair-commit phase of one block (lead thread only);
-    /// at one thread, the fused compute-and-commit sweep over the block.
+    /// Commit phase of one block: the lane stores its movers' labels.
     Commit,
 }
 
@@ -86,7 +78,7 @@ pub struct SpanRec {
 }
 
 /// Everything one thread recorded over a run. Thread 0 is the lead
-/// (coordinating) thread; only it carries `Commit` spans.
+/// thread, which also runs the serial prologue of every iteration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThreadProfData {
     /// Span timeline in emission order (monotone `start_ns`).
@@ -97,7 +89,7 @@ pub struct ThreadProfData {
     pub busy_ns: u64,
 }
 
-/// Repair statistics for one committed iteration. Every field except
+/// Schedule statistics for one committed iteration. Every field except
 /// `commit_ns` is a pure function of the candidate schedule, so these
 /// records are deterministic *and* identical at any thread count.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,16 +100,14 @@ pub struct IterRepairStats {
     pub blocks: u32,
     /// Candidates swept (the iteration's active set).
     pub candidates: u64,
-    /// Speculative picks the sequential commit recomputed because a
-    /// same-block neighbour moved earlier in the block (at one thread,
-    /// the candidates a multi-thread commit would have recomputed).
+    /// Picks recomputed at commit. Always 0: the block-synchronous
+    /// commit never recomputes a pick.
     pub repaired: u64,
-    /// Blocks that needed at least one repair — work serialized behind
-    /// the lead thread.
+    /// Blocks that needed a recomputed pick. Always 0.
     pub repair_blocks: u32,
     /// Label moves committed (the iteration's ΔN).
     pub committed: u64,
-    /// Wall time of the sequential commit phase, in nanoseconds.
+    /// Wall time of the lead thread's commit phases, in nanoseconds.
     pub commit_ns: u64,
 }
 
@@ -143,7 +133,7 @@ pub struct HostProfData {
     pub wall_ns: u64,
     /// One timeline per thread (index 0 is the lead).
     pub per_thread: Vec<ThreadProfData>,
-    /// Per-iteration repair statistics, in iteration order.
+    /// Per-iteration schedule statistics, in iteration order.
     pub iters: Vec<IterRepairStats>,
 }
 
@@ -172,9 +162,9 @@ impl HostProfData {
         max / mean
     }
 
-    /// Fraction of candidate picks the sequential commit recomputed
-    /// (0 when no candidates were swept). Deterministic and
-    /// thread-count-invariant — the regression-gate metric.
+    /// Fraction of candidate picks recomputed at commit (0 when no
+    /// candidates were swept). Deterministic and thread-count-invariant;
+    /// 0 by construction under the block-synchronous commit.
     pub fn repair_rate(&self) -> f64 {
         let cands: u64 = self.iters.iter().map(|i| i.candidates).sum();
         if cands == 0 {
@@ -194,7 +184,7 @@ impl HostProfData {
         out
     }
 
-    /// Total cursor-CAS retries across threads and buckets.
+    /// Total work-claim CAS retries across threads and buckets (0).
     pub fn cas_retries(&self) -> u64 {
         self.bucket_totals().iter().map(|b| b.cas_retries).sum()
     }
@@ -208,14 +198,13 @@ pub(crate) use noop::{RunProf, ThreadProf};
 
 /// The recording implementation (cargo feature `hostprof` on). Every
 /// method is gated on the run-time `enabled` flag so a feature-on but
-/// unprofiled run does no timing, no counting, and claims cursors with
-/// the same `fetch_add` as the feature-off build.
+/// unprofiled run does no timing and no counting.
 #[cfg(feature = "hostprof")]
 mod real {
     use super::*;
     use std::time::Instant;
 
-    /// Per-thread recorder handed to the claim/compute/commit loops.
+    /// Per-thread recorder handed to a sweep lane.
     pub(crate) struct ThreadProf {
         enabled: bool,
         t0: Instant,
@@ -257,46 +246,7 @@ mod real {
             dur
         }
 
-        /// Claim `chunk` indices off a bucket cursor. Disabled (and
-        /// feature-off) runs use a single `fetch_add`; profiled runs use
-        /// a CAS loop whose failures count cursor contention. Both claim
-        /// the same ranges — only the mechanism differs, and picks are
-        /// pure functions of block-frozen labels, so this cannot change
-        /// any result.
-        #[inline]
-        pub(crate) fn claim(
-            &mut self,
-            cursor: &AtomicUsize,
-            bucket: usize,
-            chunk: usize,
-            len: usize,
-        ) -> usize {
-            if !self.enabled {
-                return cursor.fetch_add(chunk, Ordering::Relaxed);
-            }
-            let mut cur = cursor.load(Ordering::Relaxed);
-            loop {
-                if cur >= len {
-                    // Exhausted: leave the cursor saturated, as fetch_add
-                    // would have, and report the out-of-range start.
-                    return cur;
-                }
-                match cursor.compare_exchange_weak(
-                    cur,
-                    cur + chunk,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return cur,
-                    Err(seen) => {
-                        self.data.buckets[bucket].cas_retries += 1;
-                        cur = seen;
-                    }
-                }
-            }
-        }
-
-        /// Attribute one claimed chunk's work to a bucket.
+        /// Attribute one work unit to a bucket.
         #[inline]
         pub(crate) fn count_chunk(&mut self, bucket: usize, vertices: u64, edges: u64) {
             let b = &mut self.data.buckets[bucket];
@@ -334,16 +284,13 @@ mod real {
                 .collect()
         }
 
-        /// Record one iteration's repair statistics (no-op when
+        /// Record one iteration's schedule statistics (no-op when
         /// disabled).
-        #[allow(clippy::too_many_arguments)]
         pub(crate) fn record_iter(
             &mut self,
             iter: u32,
             blocks: u32,
             candidates: u64,
-            repaired: u64,
-            repair_blocks: u32,
             committed: u64,
             commit_ns: u64,
         ) {
@@ -352,8 +299,8 @@ mod real {
                     iter,
                     blocks,
                     candidates,
-                    repaired,
-                    repair_blocks,
+                    repaired: 0,
+                    repair_blocks: 0,
                     committed,
                     commit_ns,
                 });
@@ -379,8 +326,7 @@ mod real {
 }
 
 /// Zero-sized mirror used when the `hostprof` feature is compiled out:
-/// the API is identical, every recording call vanishes, and `claim` is
-/// exactly the unprofiled `fetch_add`.
+/// the API is identical and every recording call vanishes.
 #[cfg(not(feature = "hostprof"))]
 mod noop {
     use super::*;
@@ -402,17 +348,6 @@ mod noop {
         }
 
         #[inline]
-        pub(crate) fn claim(
-            &mut self,
-            cursor: &AtomicUsize,
-            _bucket: usize,
-            chunk: usize,
-            _len: usize,
-        ) -> usize {
-            cursor.fetch_add(chunk, Ordering::Relaxed)
-        }
-
-        #[inline]
         pub(crate) fn count_chunk(&mut self, _bucket: usize, _vertices: u64, _edges: u64) {}
     }
 
@@ -427,14 +362,11 @@ mod noop {
             (0..threads).map(|_| ThreadProf).collect()
         }
 
-        #[allow(clippy::too_many_arguments)]
         pub(crate) fn record_iter(
             &mut self,
             _iter: u32,
             _blocks: u32,
             _candidates: u64,
-            _repaired: u64,
-            _repair_blocks: u32,
             _committed: u64,
             _commit_ns: u64,
         ) {

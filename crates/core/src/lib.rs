@@ -54,10 +54,10 @@ pub mod seq;
 
 pub use addr::AddrMap;
 pub use coarsen::{coarsen_lpa, CoarseLevel, CoarsenConfig, CoarsenResult};
-pub use config::{resolve_threads, BucketThresholds, LpaConfig, SwapMode, ValueType};
+pub use config::{resolve_threads, LpaConfig, SwapMode, ValueType};
 pub use dynamic::{apply_batch, frontier, lpa_dynamic, EdgeBatch};
 pub use effects::shipped_effects;
-pub use fastpath::bucket_partition;
+pub use fastpath::{bucket_partition, BucketThresholds};
 pub use gpu::{lpa_gpu, lpa_gpu_observed, lpa_gpu_traced};
 pub use hostprof::{
     BucketCounters, HostProfData, IterRepairStats, SpanKind, SpanRec, ThreadProfData, BUCKET_NAMES,
@@ -70,4 +70,4 @@ pub use observe::{IterObserver, NullObserver};
 pub use partition::{partition_all, partition_candidates, KernelPartition};
 pub use pulp::{pulp_partition, pulp_partition_weighted, PulpConfig, PulpResult};
 pub use result::LpaResult;
-pub use seq::{lpa_seq, lpa_seq_observed, lpa_seq_traced};
+pub use seq::{lpa_seq, lpa_seq_observed, lpa_seq_traced, SWEEP_BLOCK};

@@ -2,24 +2,23 @@
 //!
 //! The paper's headline speedups (Fig. 6) are wall-clock numbers on real
 //! hardware; the SIMT simulator measures *modelled* cycles, not time. This
-//! backend runs the same schedule — shuffled asynchronous sweeps, Pick-Less
-//! every 4 iterations, vertex pruning, strict first-max label picks — on
-//! the host, and is what `fig_compare` times against the baselines.
+//! backend runs the same schedule — shuffled sweeps, Pick-Less every 4
+//! iterations, vertex pruning, strict first-max label picks — on the
+//! host, and is what `fig_compare` times against the baselines.
 //!
 //! Differences from the GPU backend, all documented in DESIGN.md:
 //! * Label weights accumulate in a dense per-thread array indexed by
 //!   label (GVE-LPA's layout) instead of per-vertex open-addressing
 //!   hashtables; ties go to the first-touched label (see
 //!   [`crate::fastpath`]).
-//! * Fully asynchronous label visibility: the committed trajectory is the
-//!   sequential sweep over the shuffled candidate list, bit-identical at
-//!   any thread count. `--threads N` > 1 computes speculative picks on
-//!   `N` scoped threads and repairs stale ones at commit. CPUs have no
-//!   lockstep, so swap cycles are *less* likely, but the paper's
-//!   mitigation schedule is kept for parity.
+//! * Label visibility is block-synchronous: picks read the labels as of
+//!   the start of their [`crate::SWEEP_BLOCK`]-candidate block, a fixed
+//!   stand-in for the GPU's wave. The committed trajectory is exactly
+//!   [`crate::lpa_seq`]'s, bit-identical at any thread count; `--threads
+//!   N` splits every block's picks and commits over `N` threads.
 
 use crate::config::{LpaConfig, ValueType};
-use crate::fastpath::{FastState, FrontierCtx};
+use crate::fastpath::with_lanes;
 use crate::hostprof::HostProfData;
 use crate::observe::{IterObserver, NullObserver};
 use crate::result::LpaResult;
@@ -58,11 +57,8 @@ pub fn lpa_native_observed(
 }
 
 /// [`lpa_native`] with the host-parallel execution profiler attached:
-/// per-thread compute/commit span timelines, per-bucket work and
-/// cursor-contention counters, and per-iteration repair statistics (see
-/// [`crate::hostprof`]). At one thread the sweep is cut into the blocks a
-/// multi-thread run would use, so the repair statistics match any thread
-/// count.
+/// per-thread compute/commit span timelines, per-bucket work counters,
+/// and per-iteration schedule statistics (see [`crate::hostprof`]).
 ///
 /// The profiled run is bit-identical to [`lpa_native`] — the recorder
 /// only observes which thread did what, never what was computed. Returns
@@ -128,6 +124,26 @@ pub fn lpa_native_from_state(
     }
 }
 
+/// Replace `buf`'s contents with the unprocessed vertices, ascending.
+/// Branch-free within a 64-flag chunk, because the flags are too
+/// irregular to predict, and chunks without an unprocessed vertex are
+/// skipped: late sweeps and dynamic updates consist mostly of those.
+fn unprocessed_vertices(flags: &[AtomicU8], buf: &mut Vec<VertexId>) {
+    buf.clear();
+    let mut ids = [0 as VertexId; 64];
+    for (c, chunk) in flags.chunks(64).enumerate() {
+        if chunk.iter().all(|f| f.load(Ordering::Relaxed) != 0) {
+            continue;
+        }
+        let mut k = 0;
+        for (i, f) in chunk.iter().enumerate() {
+            ids[k] = (c * 64 + i) as VertexId;
+            k += (f.load(Ordering::Relaxed) == 0) as usize;
+        }
+        buf.extend_from_slice(&ids[..k]);
+    }
+}
+
 fn lpa_native_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
@@ -139,31 +155,29 @@ fn lpa_native_typed<V: HashValue>(
 ) -> LpaResult {
     let n = g.num_vertices();
     let labels: Vec<AtomicU32> = init_labels.into_iter().map(AtomicU32::new).collect();
+    // Isolated vertices are never candidates; marking them processed up
+    // front lets the pruned candidate filter read the flags alone.
     let processed: Vec<AtomicU8> = match unprocessed {
-        // static run: every vertex starts unprocessed
-        None => (0..n).map(|_| AtomicU8::new(0)).collect(),
+        // static run: every vertex with an edge starts unprocessed
+        None => (0..n as VertexId)
+            .map(|v| AtomicU8::new((g.degree(v) == 0) as u8))
+            .collect(),
         // warm start: only the given frontier is unprocessed
         Some(seed) => {
             let flags: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(1)).collect();
             for &v in seed {
-                flags[v as usize].store(0, Ordering::Relaxed);
+                if g.degree(v) > 0 {
+                    flags[v as usize].store(0, Ordering::Relaxed);
+                }
             }
             flags
         }
     };
-    let mut fast = FastState::<V>::new(
-        n,
-        crate::config::resolve_threads(config.threads),
-        config.buckets,
-        nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
-        hostprof.is_some(),
-    );
-
     // Frontier (worklist) state. Activation is deduplicated with atomic
     // `queued` flags (a mover flips a neighbour's flag 0 → 1 and owns the
-    // push). Pushes happen at commit, in candidate order, and sorting
-    // ascending at the next iteration start makes the candidate list
-    // match the dense sweep's (see DESIGN.md).
+    // push). The lanes' pushes are merged after each iteration, and
+    // sorting ascending at the next iteration start makes the candidate
+    // list match the dense sweep's (see DESIGN.md).
     let frontier = config.frontier;
     let queued: Vec<AtomicU8> = (0..if frontier { n } else { 0 })
         .map(|_| AtomicU8::new(0))
@@ -188,159 +202,167 @@ fn lpa_native_typed<V: HashValue>(
             }
         }
     }
-    let mut movers: Vec<VertexId> = Vec::new();
+    let threads = crate::config::resolve_threads(config.threads);
+    let ((iterations, converged, changed_per_iter, scanned_per_iter), prof) = with_lanes::<V, _>(
+        g,
+        &labels,
+        &processed,
+        &queued,
+        threads,
+        hostprof.is_some(),
+        |sweep| {
+            let mut candidates: Vec<VertexId> = Vec::new();
+            let mut movers: Vec<VertexId> = Vec::new();
+            let mut changed_per_iter = Vec::new();
+            let mut scanned_per_iter = Vec::new();
+            let mut converged = false;
+            let mut iterations = 0;
+            let t0 = Instant::now();
+            let now_us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
-    let mut changed_per_iter = Vec::new();
-    let mut scanned_per_iter = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    let t0 = Instant::now();
-    let now_us = |t0: &Instant| t0.elapsed().as_micros() as u64;
+            for iter in 0..config.max_iterations {
+                let scanned = if frontier {
+                    worklist.sort_unstable();
+                    // In-queue invariant: the CAS on `queued` means a
+                    // vertex can be enqueued at most once per iteration,
+                    // and every entry still holds its flag at drain time.
+                    debug_assert!(
+                        worklist.windows(2).all(|w| w[0] != w[1]),
+                        "duplicate enqueue in native frontier worklist"
+                    );
+                    debug_assert!(
+                        worklist
+                            .iter()
+                            .all(|&v| queued[v as usize].load(Ordering::Relaxed) == 1),
+                        "worklist entry without its queued flag set"
+                    );
+                    let scanned = worklist.len();
+                    for &v in &worklist {
+                        queued[v as usize].store(0, Ordering::Relaxed);
+                    }
+                    candidates.clear();
+                    candidates.extend(
+                        worklist
+                            .drain(..)
+                            .filter(|&v| processed[v as usize].load(Ordering::Relaxed) == 0),
+                    );
+                    scanned
+                } else if config.pruning {
+                    unprocessed_vertices(&processed, &mut candidates);
+                    n
+                } else {
+                    candidates.clear();
+                    candidates.extend((0..n as VertexId).filter(|&v| g.degree(v) > 0));
+                    n
+                };
+                if frontier && candidates.is_empty() {
+                    // Empty frontier: nothing can change, so the run is
+                    // converged without spending (or recording) a sweep.
+                    converged = true;
+                    break;
+                }
+                iterations = iter + 1;
+                let pick_less = config.swap_mode.pick_less_on(iter);
+                let prev = config.swap_mode.cross_check_on(iter).then(|| {
+                    labels
+                        .iter()
+                        .map(|l| l.load(Ordering::Relaxed))
+                        .collect::<Vec<_>>()
+                });
+                if sink.is_enabled() {
+                    sink.span_begin(
+                        track::HOST,
+                        "iteration",
+                        now_us(&t0),
+                        &[("iter", iter.into())],
+                    );
+                }
+                let mut changed = sweep.run_iteration(
+                    iter,
+                    &mut candidates,
+                    pick_less,
+                    &mut worklist,
+                    &mut movers,
+                );
 
-    for iter in 0..config.max_iterations {
-        // Shuffled sweep order: emulates the interleaved schedule a real
-        // thread pool produces and avoids the ascending-cascade pathology
-        // (see `seq::shuffle_candidates`).
-        let (mut candidates, scanned) = if frontier {
-            worklist.sort_unstable();
-            // In-queue invariant: the CAS on `queued` means a vertex can
-            // be enqueued at most once per iteration, and every entry
-            // still holds its flag at drain time.
-            debug_assert!(
-                worklist.windows(2).all(|w| w[0] != w[1]),
-                "duplicate enqueue in native frontier worklist"
-            );
-            debug_assert!(
-                worklist
-                    .iter()
-                    .all(|&v| queued[v as usize].load(Ordering::Relaxed) == 1),
-                "worklist entry without its queued flag set"
-            );
-            let scanned = worklist.len();
-            for &v in &worklist {
-                queued[v as usize].store(0, Ordering::Relaxed);
-            }
-            let cands: Vec<VertexId> = worklist
-                .drain(..)
-                .filter(|&v| processed[v as usize].load(Ordering::Relaxed) == 0)
-                .collect();
-            (cands, scanned)
-        } else {
-            (
-                (0..n as VertexId)
-                    .filter(|&v| {
-                        (!config.pruning || processed[v as usize].load(Ordering::Relaxed) == 0)
-                            && g.degree(v) > 0
-                    })
-                    .collect(),
-                n,
-            )
-        };
-        if frontier && candidates.is_empty() {
-            // Empty frontier: nothing can change, so the run is converged
-            // without spending (or recording) a final sweep.
-            converged = true;
-            break;
-        }
-        iterations = iter + 1;
-        let pick_less = config.swap_mode.pick_less_on(iter);
-        let prev = config.swap_mode.cross_check_on(iter).then(|| {
-            labels
-                .iter()
-                .map(|l| l.load(Ordering::Relaxed))
-                .collect::<Vec<_>>()
-        });
-        if sink.is_enabled() {
-            sink.span_begin(
-                track::HOST,
-                "iteration",
-                now_us(&t0),
-                &[("iter", iter.into())],
-            );
-        }
-        crate::seq::shuffle_candidates(&mut candidates, iter);
-
-        let fr = frontier.then(|| FrontierCtx {
-            queued: &queued,
-            worklist: &mut worklist,
-            movers: &mut movers,
-        });
-        let mut changed =
-            fast.run_iteration(g, iter, &candidates, pick_less, &labels, &processed, fr);
-
-        // Cross-Check pass (paper §4.1): sequential over changed vertices,
-        // so a revert is visible to the partner's check — this is the
-        // symmetry breaker. Only movers can satisfy `c != prev[v]` and a
-        // revert never flips a non-mover's condition, so in frontier mode
-        // the ascending scan over the movers is exactly the dense 0..n
-        // scan.
-        if let Some(prev) = prev {
-            let mut reverted = 0usize;
-            if frontier {
-                movers.sort_unstable();
-                for &m in &movers {
-                    let v = m as usize;
-                    let c = labels[v].load(Ordering::Relaxed);
-                    if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
-                        labels[v].store(prev[v], Ordering::Relaxed);
-                        processed[v].store(0, Ordering::Relaxed);
-                        if queued[v].swap(1, Ordering::Relaxed) == 0 {
-                            worklist.push(m);
+                // Cross-Check pass (paper §4.1): sequential over changed
+                // vertices, so a revert is visible to the partner's check
+                // — this is the symmetry breaker. Only movers can satisfy
+                // `c != prev[v]` and a revert never flips a non-mover's
+                // condition, so in frontier mode the ascending scan over
+                // the movers is exactly the dense 0..n scan.
+                if let Some(prev) = prev {
+                    let mut reverted = 0usize;
+                    if frontier {
+                        movers.sort_unstable();
+                        for &m in &movers {
+                            let v = m as usize;
+                            let c = labels[v].load(Ordering::Relaxed);
+                            if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
+                                labels[v].store(prev[v], Ordering::Relaxed);
+                                processed[v].store(0, Ordering::Relaxed);
+                                if queued[v].swap(1, Ordering::Relaxed) == 0 {
+                                    worklist.push(m);
+                                }
+                                reverted += 1;
+                            }
                         }
-                        reverted += 1;
+                    } else {
+                        for v in 0..n {
+                            let c = labels[v].load(Ordering::Relaxed);
+                            if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
+                                labels[v].store(prev[v], Ordering::Relaxed);
+                                processed[v].store(0, Ordering::Relaxed);
+                                reverted += 1;
+                            }
+                        }
                     }
+                    changed = changed.saturating_sub(reverted);
                 }
-            } else {
-                for v in 0..n {
-                    let c = labels[v].load(Ordering::Relaxed);
-                    if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
-                        labels[v].store(prev[v], Ordering::Relaxed);
-                        processed[v].store(0, Ordering::Relaxed);
-                        reverted += 1;
-                    }
-                }
-            }
-            changed = changed.saturating_sub(reverted);
-        }
-        movers.clear();
+                movers.clear();
 
-        changed_per_iter.push(changed);
-        scanned_per_iter.push(scanned);
-        if obs.is_enabled() {
-            let snapshot: Vec<VertexId> =
-                labels.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-            obs.on_iteration(iter, changed, candidates.len(), scanned, &snapshot);
-        }
-        if sink.is_enabled() {
-            let ts = now_us(&t0);
-            sink.counter("dN", ts, changed as f64);
-            sink.counter("active_vertices", ts, candidates.len() as f64);
-            if frontier {
-                sink.counter("frontier_size", ts, scanned as f64);
+                changed_per_iter.push(changed);
+                scanned_per_iter.push(scanned);
+                if obs.is_enabled() {
+                    let snapshot: Vec<VertexId> =
+                        labels.iter().map(|l| l.load(Ordering::Relaxed)).collect();
+                    obs.on_iteration(iter, changed, candidates.len(), scanned, &snapshot);
+                }
+                if sink.is_enabled() {
+                    let ts = now_us(&t0);
+                    sink.counter("dN", ts, changed as f64);
+                    sink.counter("active_vertices", ts, candidates.len() as f64);
+                    if frontier {
+                        sink.counter("frontier_size", ts, scanned as f64);
+                    }
+                    sink.span_end(
+                        track::HOST,
+                        "iteration",
+                        ts,
+                        &[
+                            ("iter", iter.into()),
+                            ("active", candidates.len().into()),
+                            ("dN", changed.into()),
+                            ("pick_less", pick_less.into()),
+                        ],
+                    );
+                }
+                // ΔN = 0 converges even on Pick-Less-gated iterations (PL1
+                // would otherwise never pass the gated test); see the same
+                // check in `gpu.rs`.
+                if changed == 0
+                    || (!pick_less && (changed as f64 / n.max(1) as f64) < config.tolerance)
+                {
+                    converged = true;
+                    break;
+                }
             }
-            sink.span_end(
-                track::HOST,
-                "iteration",
-                ts,
-                &[
-                    ("iter", iter.into()),
-                    ("active", candidates.len().into()),
-                    ("dN", changed.into()),
-                    ("pick_less", pick_less.into()),
-                ],
-            );
-        }
-        // ΔN = 0 converges even on Pick-Less-gated iterations (PL1 would
-        // otherwise never pass the gated test); see the same check in
-        // `gpu.rs`.
-        if changed == 0 || (!pick_less && (changed as f64 / n.max(1) as f64) < config.tolerance) {
-            converged = true;
-            break;
-        }
-    }
+            (iterations, converged, changed_per_iter, scanned_per_iter)
+        },
+    );
 
     if let Some(out) = hostprof {
-        *out = fast.take_profile();
+        *out = prof;
     }
     LpaResult {
         labels: labels.into_iter().map(|l| l.into_inner()).collect(),
@@ -565,6 +587,25 @@ mod tests {
                 base.changed_per_iter, r.changed_per_iter,
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn panic_in_the_lead_stops_the_workers() {
+        // An observer panic unwinds the lead while the workers wait on the
+        // barrier; they must be released and joined, not left waiting.
+        struct Bomb;
+        impl IterObserver for Bomb {
+            fn on_iteration(&mut self, _: u32, _: usize, _: usize, _: usize, _: &[VertexId]) {
+                panic!("observer failed");
+            }
+        }
+        let g = erdos_renyi(300, 900, 7);
+        for threads in [2, 4] {
+            let r = std::panic::catch_unwind(|| {
+                lpa_native_observed(&g, &cfg().with_threads(threads), &mut NullSink, &mut Bomb)
+            });
+            assert!(r.is_err(), "threads={threads}");
         }
     }
 }

@@ -17,9 +17,19 @@
 //!    does not empty the source below a floor;
 //! 3. stop when a sweep moves fewer than `tolerance · n` vertices.
 
-use crate::seq::{scramble, shuffle_candidates};
+use crate::seq::shuffle_candidates;
 use nulpa_graph::{Csr, VertexId};
 use std::collections::BTreeMap;
+
+/// Deterministic, magnitude-uncorrelated label order for tie-breaking
+/// (shared with [`crate::coarsen`]). Breaking weight ties by smallest raw
+/// label would cascade every tie toward label 0.
+#[inline]
+pub(crate) fn scramble(label: VertexId) -> u32 {
+    (label ^ 0x5bd1_e995)
+        .wrapping_mul(0x9e37_79b9)
+        .rotate_left(13)
+}
 
 /// Partitioner configuration.
 #[derive(Clone, Copy, Debug)]

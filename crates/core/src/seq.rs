@@ -1,34 +1,30 @@
-//! Sequential reference LPA.
+//! Sequential reference LPA: the one-thread definition of the schedule
+//! [`crate::lpa_native`] runs.
 //!
-//! A deliberately simple, obviously-correct implementation used for
-//! differential testing of the GPU-simulator and native backends. It
-//! follows the same high-level schedule as ν-LPA (asynchronous in-place
-//! updates in vertex-id order, vertex pruning, per-iteration tolerance,
-//! optional Pick-Less/Cross-Check) but accumulates label weights in a
-//! `BTreeMap` — no hashtables, no waves.
-//!
-//! Tie-breaking: highest total weight; among equal weights, the label with
-//! the smallest *scrambled* id wins. A smallest-raw-label rule would be
-//! degenerate (every tie cascades toward community 0 and unit-weight
-//! graphs collapse into one monster community); the hashtable backends
-//! break ties by slot-scan order, which is uncorrelated with label
-//! magnitude, and the scramble reproduces that property deterministically.
+//! A deliberately simple implementation used as the exact oracle for the
+//! native backend and for differential testing of the simulator. Each
+//! iteration shuffles the candidates (`shuffle_candidates`) and cuts
+//! them into consecutive blocks of [`SWEEP_BLOCK`]. Every pick in a block
+//! reads the labels as of the block's start; the block's moves are then
+//! stored, and each mover un-prunes its neighbours. A pick sums the
+//! neighbours' edge weights per label in CSR order (in the configured
+//! value type) and takes the first maximum in first-touched order, as
+//! GVE-LPA does. Pick-Less, Cross-Check, pruning, the per-iteration
+//! tolerance and frontier scheduling follow ν-LPA.
 
-use crate::config::LpaConfig;
+use crate::config::{LpaConfig, ValueType};
 use crate::observe::{IterObserver, NullObserver};
 use crate::result::LpaResult;
 use nulpa_graph::{Csr, VertexId};
+use nulpa_hashtab::HashValue;
 use nulpa_simt::{track, KernelStats, NullSink, TraceSink};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::time::Instant;
 
-/// Deterministic, magnitude-uncorrelated label order for tie-breaking.
-#[inline]
-pub(crate) fn scramble(label: VertexId) -> u32 {
-    (label ^ 0x5bd1_e995)
-        .wrapping_mul(0x9e37_79b9)
-        .rotate_left(13)
-}
+/// Candidates per sweep block. Picks within a block read the labels as
+/// of the block's start; blocks commit in order. A constant, so the
+/// schedule — and every result — is independent of the thread count.
+pub const SWEEP_BLOCK: usize = 1024;
 
 /// Deterministically shuffle the candidate sweep order.
 ///
@@ -67,6 +63,43 @@ pub fn lpa_seq_observed(
     obs: &mut dyn IterObserver,
 ) -> LpaResult {
     config.validate().expect("invalid LPA config");
+    match config.value_type {
+        ValueType::F32 => lpa_seq_typed::<f32>(g, config, sink, obs),
+        ValueType::F64 => lpa_seq_typed::<f64>(g, config, sink, obs),
+    }
+}
+
+/// The first-touched strict pick for `v`: per-label weight sums in CSR
+/// order, first maximum in the order labels are first seen.
+fn pick<V: HashValue>(g: &Csr, v: VertexId, labels: &[VertexId]) -> Option<VertexId> {
+    let mut slot: HashMap<VertexId, usize> = HashMap::new();
+    let mut sums: Vec<(VertexId, V)> = Vec::new();
+    for (j, w) in g.neighbors(v) {
+        if j == v {
+            continue;
+        }
+        let c = labels[j as usize];
+        let i = *slot.entry(c).or_insert_with(|| {
+            sums.push((c, V::zero()));
+            sums.len() - 1
+        });
+        sums[i].1 = sums[i].1.add(V::from_weight(w));
+    }
+    let mut best: Option<(VertexId, V)> = None;
+    for &(c, w) in &sums {
+        if best.is_none_or(|(_, bw)| w > bw) {
+            best = Some((c, w));
+        }
+    }
+    best.map(|(c, _)| c)
+}
+
+fn lpa_seq_typed<V: HashValue>(
+    g: &Csr,
+    config: &LpaConfig,
+    sink: &mut dyn TraceSink,
+    obs: &mut dyn IterObserver,
+) -> LpaResult {
     let n = g.num_vertices();
     let t0 = Instant::now();
     let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
@@ -153,37 +186,27 @@ pub fn lpa_seq_observed(
         }
 
         let mut changed = 0usize;
-        for v in candidates {
-            processed[v as usize] = true;
-            let mut weights: BTreeMap<VertexId, f64> = BTreeMap::new();
-            for (j, w) in g.neighbors(v) {
-                if j == v {
-                    continue;
+        for block in candidates.chunks(SWEEP_BLOCK) {
+            let mut moves = Vec::new();
+            for &v in block {
+                processed[v as usize] = true;
+                let cur = labels[v as usize];
+                match pick::<V>(g, v, &labels) {
+                    Some(c) if c != cur && (!pick_less || c < cur) => moves.push((v, c)),
+                    _ => {}
                 }
-                *weights.entry(labels[j as usize]).or_insert(0.0) += w as f64;
             }
-            let best = weights
-                .iter()
-                .fold(None::<(VertexId, f64)>, |acc, (&c, &w)| match acc {
-                    Some((bc, bw)) if w > bw || (w == bw && scramble(c) < scramble(bc)) => {
-                        Some((c, w))
-                    }
-                    None => Some((c, w)),
-                    _ => acc,
-                });
-            let Some((c_star, _)) = best else { continue };
-            let cur = labels[v as usize];
-            if c_star != cur && (!pick_less || c_star < cur) {
-                labels[v as usize] = c_star;
-                changed += 1;
+            changed += moves.len();
+            for (v, c) in moves {
+                labels[v as usize] = c;
                 if frontier {
                     movers.push(v);
                 }
-                for j in g.neighbor_ids(v) {
-                    processed[*j as usize] = false;
-                    if frontier && !queued[*j as usize] {
-                        queued[*j as usize] = true;
-                        worklist.push(*j);
+                for &j in g.neighbor_ids(v) {
+                    processed[j as usize] = false;
+                    if frontier && !queued[j as usize] {
+                        queued[j as usize] = true;
+                        worklist.push(j);
                     }
                 }
             }
@@ -194,6 +217,7 @@ pub fn lpa_seq_observed(
         // flips a non-mover's condition, so in frontier mode scanning the
         // movers in ascending vertex order is exactly the dense 0..n scan.
         if let Some(prev) = prev {
+            let mut reverted = 0usize;
             if frontier {
                 movers.sort_unstable();
                 for &m in &movers {
@@ -206,6 +230,7 @@ pub fn lpa_seq_observed(
                             queued[v] = true;
                             worklist.push(m);
                         }
+                        reverted += 1;
                     }
                 }
             } else {
@@ -215,9 +240,12 @@ pub fn lpa_seq_observed(
                         labels[v] = prev[v];
                         // reverted vertices may need reprocessing
                         processed[v] = false;
+                        reverted += 1;
                     }
                 }
             }
+            // a reverted move no longer counts as a change
+            changed -= reverted;
         }
         movers.clear();
 
@@ -431,8 +459,11 @@ mod tests {
 
     #[test]
     fn frontier_scans_fewer_vertices() {
-        let g = caveman_weighted(8, 8, 0.5);
+        // The run must outlast the first two sweeps for the frontier to
+        // prune anything: this planted graph takes four.
+        let g = nulpa_graph::gen::planted_partition(&[60, 60, 60], 12.0, 0.5, 5).graph;
         let dense = lpa_seq(&g, &cfg());
+        assert!(dense.iterations > 2);
         let front = lpa_seq(&g, &cfg().with_frontier(true));
         assert_eq!(dense.labels, front.labels);
         assert!(dense

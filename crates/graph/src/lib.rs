@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod builder;
 pub mod components;
 pub mod csr;
@@ -35,6 +34,5 @@ pub mod permute;
 pub mod stats;
 pub mod subgraph;
 
-pub use blocks::{candidate_blocks, edge_blocks, DEFAULT_BLOCK_EDGES};
 pub use builder::{DuplicatePolicy, GraphBuilder};
 pub use csr::{Csr, VertexId, Weight};

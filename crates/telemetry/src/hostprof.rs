@@ -2,8 +2,8 @@
 //! regression gate over [`nulpa_core::HostProfData`].
 //!
 //! `nulpa-core`'s `hostprof` module collects the raw per-thread
-//! timelines, per-bucket work counters, and per-iteration repair
-//! statistics of a fast-path run; this module is the reporting side:
+//! timelines, per-bucket work counters, and per-iteration schedule
+//! statistics of a native sweep; this module is the reporting side:
 //!
 //! * [`summarize`] folds one run's raw data into a [`HostRunReport`] —
 //!   per-thread busy time/utilization/span percentiles, per-bucket
@@ -48,7 +48,7 @@ pub const GATE: Gate = Gate {
 /// One thread's row in the utilization table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ThreadReport {
-    /// Thread index (0 is the lead/commit thread).
+    /// Thread index (0 is the lead thread).
     pub tid: usize,
     /// Total time inside spans, milliseconds.
     pub busy_ms: f64,
@@ -73,17 +73,17 @@ pub struct HostRunReport {
     pub iterations: usize,
     /// Max/mean per-thread busy time (1.0 = perfectly balanced).
     pub imbalance: f64,
-    /// Fraction of speculative picks the sequential commit recomputed.
+    /// Fraction of picks recomputed at commit (0 by construction).
     pub repair_rate: f64,
     /// Mean per-thread busy time, milliseconds.
     pub busy_ms_mean: f64,
-    /// Total cursor-CAS retries (contention proxy; wall-clock noisy).
+    /// Total work-claim CAS retries (0: nothing is claimed).
     pub cas_retries: u64,
     /// Per-thread utilization rows.
     pub per_thread: Vec<ThreadReport>,
     /// Per-bucket work totals, indexed like [`BUCKET_NAMES`].
     pub buckets: [BucketCounters; 3],
-    /// Per-iteration repair statistics (deterministic schedule fields).
+    /// Per-iteration schedule statistics (deterministic fields).
     pub iters: Vec<IterRepairStats>,
 }
 
@@ -131,19 +131,14 @@ pub fn summarize(graph: &str, data: &HostProfData) -> HostRunReport {
 pub fn render_report(reports: &[HostRunReport]) -> String {
     let mut out = String::new();
     for r in reports {
-        let (repaired, cands): (u64, u64) = r
-            .iters
-            .iter()
-            .fold((0, 0), |(a, b), i| (a + i.repaired, b + i.candidates));
         out.push_str(&format!(
             "host profile: {}  threads={}  wall {:.2} ms  iters {}\n",
             r.graph, r.threads, r.wall_ms, r.iterations
         ));
         out.push_str(&format!(
-            "  imbalance {:.2}x   repair rate {:.2}% ({repaired}/{cands})   cursor CAS retries {}\n",
+            "  imbalance {:.2}x   repair rate {:.2}%\n",
             r.imbalance,
-            r.repair_rate * 100.0,
-            r.cas_retries
+            r.repair_rate * 100.0
         ));
         out.push_str("  thread      busy_ms   util%   spans   p50_us   p95_us   max_us\n");
         for t in &r.per_thread {
@@ -162,20 +157,17 @@ pub fn render_report(reports: &[HostRunReport]) -> String {
                 t.span_ns.max / 1_000,
             ));
         }
-        out.push_str("  bucket   vertices      edges   chunks   cas_retries\n");
+        out.push_str("  bucket   vertices      edges\n");
         for (name, b) in BUCKET_NAMES.iter().zip(r.buckets.iter()) {
-            out.push_str(&format!(
-                "  {name:<7}{:>11}{:>11}{:>9}{:>14}\n",
-                b.vertices, b.edges, b.chunks, b.cas_retries
-            ));
+            out.push_str(&format!("  {name:<7}{:>11}{:>11}\n", b.vertices, b.edges));
         }
-        out.push_str("  repair trajectory (iter: repaired/candidates, blocks hit/total):\n");
+        out.push_str("  schedule (iter: moves/candidates in blocks):\n");
         for chunk in r.iters.chunks(4) {
             out.push_str("   ");
             for i in chunk {
                 out.push_str(&format!(
-                    " {}: {}/{} {}/{}",
-                    i.iter, i.repaired, i.candidates, i.repair_blocks, i.blocks
+                    " {}: {}/{} in {}",
+                    i.iter, i.committed, i.candidates, i.blocks
                 ));
             }
             out.push('\n');
@@ -447,7 +439,7 @@ mod tests {
             "bucket",
             "low",
             "high",
-            "repair trajectory",
+            "schedule",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -25,7 +25,7 @@
 //!   with [`nulpa_metrics::modularity_from_sums`]).
 //! * [`hostprof`] — the host-parallel execution observatory over
 //!   `nulpa_core`'s fast-path profiler: per-thread utilization tables,
-//!   per-bucket work attribution, repair-rate trajectories, Chrome-trace
+//!   per-bucket work attribution, per-iteration schedules, Chrome-trace
 //!   export of thread timelines, and the `results/hostprof_baseline.json`
 //!   regression gate (`nulpa profile --host`).
 //!

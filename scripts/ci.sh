@@ -27,8 +27,8 @@ cargo test -q --no-default-features
 # The sharded wave scheduler and the native fast path both promise
 # bit-identical results at any host thread count; run the suite at both
 # extremes plus an in-between count to catch order leaks (2 exercises
-# the speculative-pick/sequential-repair commit with exactly one
-# non-lead worker — the smallest configuration that can race).
+# the block-synchronous sweep with exactly one worker beside the lead —
+# the smallest configuration that can race).
 step "workspace tests (NULPA_THREADS=1)"
 NULPA_THREADS=1 cargo test -q --workspace
 
@@ -68,7 +68,7 @@ step "hostprof smoke (nulpa profile --host --json)"
 cargo run --release --bin nulpa -- profile --host --json > /dev/null
 
 # The wall-clock benchmark's own contract: its unit tests, then a short
-# traced kmer run, which checks t1 ≡ t2 labels and repair schedules and
+# traced kmer run, which checks t1 ≡ t2 labels and block schedules and
 # that the lead's spans tile the profiled wall time (exit 0 = no failed
 # check).
 step "perfbench tests"

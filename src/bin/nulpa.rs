@@ -78,7 +78,7 @@ fn usage() {
     eprintln!(
         "nulpa — nu-LPA community detection (paper reproduction)\n\n\
          USAGE:\n  nulpa stats [graph] [--backend B] [--json] [--history FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   convergence observatory\n  \
-         nulpa detect <graph> [--method M] [--threads N] [--frontier] [--bucket-thresholds L,M]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
+         nulpa detect <graph> [--method M] [--threads N] [--frontier]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
          nulpa partition <graph> -k N [--balance F] [--output FILE]\n  \
          nulpa coarsen <graph> --target N [--output FILE]\n  \
          nulpa inspect <graph> [--top N]\n  \
@@ -89,10 +89,10 @@ fn usage() {
          nulpa check [--json] [--inject]   static kernel effect verifier + workspace linter\n  \
          nulpa profile [graph] [--json] [--backend NAME] [--telemetry FILE]   cycle-attribution profile\n  \
          nulpa profile --host [graph] [--json] [--trace FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   host-parallel observatory\n\n\
-         HOST PROFILING: --host runs lpa_native's fast path at a 1/2/4\n  \
-         thread ladder with the host-parallel profiler: per-thread busy\n  \
-         time/utilization, per-bucket vertices/edges/chunks and cursor-CAS\n  \
-         retries, repair-rate trajectory, and max/mean busy imbalance.\n  \
+         HOST PROFILING: --host runs lpa_native's block-synchronous sweep\n  \
+         at a 1/2/4 thread ladder with the host-parallel profiler: per-thread\n  \
+         busy time/utilization, per-degree-bucket vertices/edges, and\n  \
+         max/mean busy imbalance.\n  \
          --trace writes a Chrome/Perfetto trace of the last run's thread\n  \
          timelines; --check gates iterations, repair rate and imbalance\n  \
          against a committed baseline (results/hostprof_baseline.json).\n\n\
@@ -107,9 +107,6 @@ fn usage() {
          FRONTIER: --frontier switches nu-lpa / nu-lpa-sim to worklist\n  \
          (active-set) scheduling: only re-activated vertices are scanned\n  \
          and, on the simulator, launched. Deterministic at any thread count.\n\n\
-         BUCKETS: with --threads N > 1, nu-lpa threads claim work in\n  \
-         low/mid/high degree buckets; --bucket-thresholds LOW,MID sets the\n  \
-         cutoffs (default 32,512). Results do not depend on them.\n\n\
          TRACING: --trace x.jsonl writes a JSONL event stream; any other\n  \
          extension writes a Chrome trace-event file (open in Perfetto).\n  \
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
@@ -145,15 +142,6 @@ fn write_labels(labels: &[u32], output: Option<&str>) -> Result<(), String> {
             w.flush().map_err(|e| e.to_string())
         }
     }
-}
-
-/// Parse `--bucket-thresholds LOW,MID` (e.g. `32,512`).
-fn parse_bucket_thresholds(s: &str) -> Result<nu_lpa::core::BucketThresholds, String> {
-    let err = || format!("--bucket-thresholds: expected LOW,MID positive integers, got `{s}`");
-    let (low, mid) = s.split_once(',').ok_or_else(err)?;
-    let low_max = low.trim().parse::<u32>().map_err(|_| err())?;
-    let mid_max = mid.trim().parse::<u32>().map_err(|_| err())?;
-    Ok(nu_lpa::core::BucketThresholds { low_max, mid_max })
 }
 
 fn opt_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -612,20 +600,9 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
             "--frontier: method `{method}` has no frontier mode (use nu-lpa or nu-lpa-sim)"
         ));
     }
-    let bucket_thresholds = opt_value(args, "--bucket-thresholds")
-        .map(parse_bucket_thresholds)
-        .transpose()?;
-    if bucket_thresholds.is_some() && method != "nu-lpa" {
-        return Err(format!(
-            "--bucket-thresholds: method `{method}` has no host fast path (use nu-lpa)"
-        ));
-    }
-    let mut cfg = LpaConfig::default()
+    let cfg = LpaConfig::default()
         .with_threads(threads)
         .with_frontier(frontier);
-    if let Some(b) = bucket_thresholds {
-        cfg = cfg.with_buckets(b);
-    }
     cfg.validate()?;
     if trace_path.is_some() && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
         return Err(format!(
@@ -913,7 +890,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `nulpa profile`: `--host` profiles the native fast path's host-parallel
+/// `nulpa profile`: `--host` profiles the native sweep's host-parallel
 /// execution (per-thread/per-bucket attribution); otherwise the simulated
 /// GPU backends run under the cycle-attribution profiler.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
@@ -925,10 +902,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 /// `nulpa profile --host`: the host-parallel execution observatory. Runs
-/// `lpa_native` with the fast-path profiler over the built-in trio (or one
+/// `lpa_native` with the sweep profiler over the built-in trio (or one
 /// graph) at a 1/2/4 thread ladder, and reports per-thread utilization,
-/// per-bucket work (vertices/edges/chunks/CAS retries), the repair-rate
-/// trajectory, and the max/mean busy-time imbalance. `--trace` writes a
+/// per-degree-bucket work (vertices/edges), and the max/mean busy-time
+/// imbalance. `--trace` writes a
 /// Chrome/Perfetto trace of the last run's thread timelines;
 /// `--write-baseline`/`--check` drive the hostprof regression gate.
 #[cfg(feature = "telemetry")]

@@ -3,15 +3,13 @@
 //! The observability contract of `lpa_native_hostprof` has two halves.
 //! **Neutrality**: profiling must not change the algorithm — a profiled
 //! run's `LpaResult` is bit-identical to the unprofiled run's on every
-//! field, across thread counts and scheduling modes (picks are pure
-//! functions of block-frozen labels; the profiler only changes *which
-//! thread* computes a pick and how cursors are claimed, and at one
-//! thread only cuts the fused sweep into blocks).
+//! field, across thread counts and scheduling modes (the recorder only
+//! times and counts what each lane does).
 //! **Integrity**: when the recorder is compiled in (`telemetry` default
 //! feature → `nulpa-core/hostprof`), the collected data must account
 //! for exactly the work the run did — every candidate attributed to a
-//! bucket, spans on every thread that worked, and repair statistics that
-//! are identical at any thread count.
+//! bucket, one compute and one commit span per block on every thread,
+//! and schedule statistics that are identical at any thread count.
 
 use nu_lpa::core::{lpa_native, lpa_native_hostprof, LpaConfig, LpaResult};
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
@@ -99,8 +97,8 @@ mod data {
                 assert_eq!(data.threads, threads, "{name}");
                 let swept: u64 = data.iters.iter().map(|i| i.candidates).sum();
                 let attributed: u64 = data.bucket_totals().iter().map(|b| b.vertices).sum();
-                // The single-thread path and the claim-loop path both
-                // count per-chunk work, so attribution is exact.
+                // Every lane counts its members of every block, so
+                // attribution is exact.
                 assert_eq!(attributed, swept, "{name} threads={threads}");
                 let edges: u64 = data.bucket_totals().iter().map(|b| b.edges).sum();
                 assert!(edges > 0, "{name}: no edges attributed");
@@ -108,19 +106,26 @@ mod data {
         }
     }
 
-    /// At one thread the fused sweep records one commit span per block:
-    /// the spans never overlap, stay inside the profiled wall time, and
-    /// number exactly the blocks the repair statistics report.
+    /// At one thread the sweep records one compute and one commit span
+    /// per block, in that order: the spans never overlap, stay inside the
+    /// profiled wall time, and number exactly twice the blocks the
+    /// schedule statistics report.
     #[test]
     fn single_thread_block_spans_tile_the_sweep() {
+        use nu_lpa::core::SpanKind::{Commit, Compute};
         for (name, g) in &trio() {
             let data = profile(g, 1);
             let spans = &data.per_thread[0].spans;
             let blocks: u64 = data.iters.iter().map(|i| i.blocks as u64).sum();
-            assert_eq!(spans.len() as u64, blocks, "{name}: one span per block");
+            assert_eq!(
+                spans.len() as u64,
+                2 * blocks,
+                "{name}: two spans per block"
+            );
             let mut end = 0u64;
-            for s in spans {
-                assert_eq!(s.kind, nu_lpa::core::SpanKind::Commit, "{name}");
+            for (k, s) in spans.iter().enumerate() {
+                let kind = if k % 2 == 0 { Compute } else { Commit };
+                assert_eq!(s.kind, kind, "{name}: span {k}");
                 assert!(s.start_ns >= end, "{name}: spans overlap");
                 end = s.start_ns + s.dur_ns;
             }
@@ -128,26 +133,26 @@ mod data {
         }
     }
 
+    /// Every thread records one compute and one commit span per block —
+    /// the commit is parallel, so commits no longer stay on the lead.
     #[test]
-    fn spans_cover_every_thread_and_commits_stay_on_the_lead() {
+    fn spans_cover_every_thread_with_one_compute_and_commit_per_block() {
         for (name, g) in &trio() {
             let data = profile(g, 4);
             assert_eq!(data.per_thread.len(), 4, "{name}");
+            let blocks: usize = data.iters.iter().map(|i| i.blocks as usize).sum();
             for (tid, t) in data.per_thread.iter().enumerate() {
-                assert!(
-                    !t.spans.is_empty(),
-                    "{name}: thread {tid} recorded no spans"
+                let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count();
+                assert_eq!(
+                    count(nu_lpa::core::SpanKind::Compute),
+                    blocks,
+                    "{name}: thread {tid} compute spans"
                 );
-                let commits = t
-                    .spans
-                    .iter()
-                    .filter(|s| s.kind == nu_lpa::core::SpanKind::Commit)
-                    .count();
-                if tid == 0 {
-                    assert!(commits > 0, "{name}: lead thread has no commit spans");
-                } else {
-                    assert_eq!(commits, 0, "{name}: worker {tid} recorded commit spans");
-                }
+                assert_eq!(
+                    count(nu_lpa::core::SpanKind::Commit),
+                    blocks,
+                    "{name}: thread {tid} commit spans"
+                );
                 // span timeline is monotone and busy time sums the durations
                 let mut last = 0u64;
                 let mut busy = 0u64;
@@ -164,14 +169,16 @@ mod data {
         }
     }
 
-    /// The commit schedule — and therefore every repair statistic — is a
+    /// The block schedule — and therefore every schedule statistic — is a
     /// pure function of the candidate order, so profiles taken at
-    /// different thread counts must agree on all deterministic fields.
+    /// different thread counts must agree on all deterministic fields,
+    /// and nothing is ever repaired.
     #[test]
     fn repair_statistics_are_thread_count_invariant() {
         for (name, g) in &trio() {
             let base = profile(g, 1);
             assert!(!base.iters.is_empty(), "{name}: no iterations recorded");
+            assert_eq!(base.repair_rate(), 0.0, "{name}: a pick was repaired");
             for threads in [2usize, 4] {
                 let other = profile(g, threads);
                 assert_eq!(
@@ -182,7 +189,7 @@ mod data {
                 for (a, b) in base.iters.iter().zip(other.iters.iter()) {
                     assert!(
                         a.same_schedule(b),
-                        "{name}: repair schedule diverged at {threads} threads: {a:?} vs {b:?}"
+                        "{name}: schedule diverged at {threads} threads: {a:?} vs {b:?}"
                     );
                 }
             }
@@ -199,12 +206,7 @@ mod data {
             let data = prof.unwrap();
             let committed: Vec<u64> = data.iters.iter().map(|i| i.committed).collect();
             let dn: Vec<u64> = result.changed_per_iter.iter().map(|&c| c as u64).collect();
-            // the result series may carry a trailing zero-change iteration
-            // that never entered the fast path's commit loop
-            assert!(
-                dn.starts_with(&committed) || dn == committed,
-                "{name}: committed {committed:?} vs dN {dn:?}"
-            );
+            assert_eq!(committed, dn, "{name}");
         }
     }
 }

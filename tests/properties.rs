@@ -3,8 +3,10 @@
 
 use nu_lpa::core::{
     bucket_partition, lpa_gpu, lpa_native, lpa_seq, BucketThresholds, LpaConfig, SwapMode,
+    SWEEP_BLOCK,
 };
 use nu_lpa::graph::components::connected_components;
+use nu_lpa::graph::gen::erdos_renyi;
 use nu_lpa::graph::permute::{random_permutation, relabel};
 use nu_lpa::graph::{Csr, GraphBuilder, VertexId};
 use nu_lpa::metrics::{check_labels, community_count, modularity, same_partition};
@@ -189,8 +191,8 @@ proptest! {
     ) {
         // Every candidate lands in exactly one degree bucket, each bucket
         // respects its threshold band, and candidate order is preserved
-        // within a bucket — the invariants the fast path's chunked claim
-        // loops rely on.
+        // within a bucket — the invariants the host profiler's per-bucket
+        // attribution relies on.
         let t = BucketThresholds { low_max: low, mid_max: low + span };
         let cands: Vec<VertexId> = g.vertices().collect();
         let buckets = bucket_partition(&g, &cands, t);
@@ -212,83 +214,32 @@ proptest! {
     }
 }
 
-/// Test-local sequential reference for the default PL4 schedule: the
-/// shuffled asynchronous sweep (same ChaCha8 seeds as the backends), f32
-/// label weights accumulated in CSR order, and the first-touched strict
-/// pick — the first maximum in the order labels are first seen among
-/// the neighbours. Returns the labels and the ΔN series. A frontier run
-/// ends without recording a sweep when nothing is left to scan.
-fn pl4_reference(g: &Csr, frontier: bool) -> (Vec<VertexId>, Vec<usize>) {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let cfg = LpaConfig::default();
-    assert_eq!(cfg.swap_mode, SwapMode::PickLess { every: 4 });
-    let n = g.num_vertices();
-    let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut processed = vec![false; n];
-    let mut dn = Vec::new();
-    for iter in 0..cfg.max_iterations {
-        let mut cands: Vec<VertexId> = g
-            .vertices()
-            .filter(|&v| !processed[v as usize] && g.degree(v) > 0)
-            .collect();
-        if frontier && cands.is_empty() {
-            break;
-        }
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x6c70_6100 + iter as u64);
-        cands.shuffle(&mut rng);
-        let pick_less = iter % 4 == 0;
-        let mut changed = 0usize;
-        for v in cands {
-            processed[v as usize] = true;
-            let mut weights: Vec<(VertexId, f32)> = Vec::new();
-            for (j, w) in g.neighbors(v) {
-                if j == v {
-                    continue;
-                }
-                let c = labels[j as usize];
-                match weights.iter_mut().find(|(l, _)| *l == c) {
-                    Some(e) => e.1 += w,
-                    None => weights.push((c, w)),
-                }
-            }
-            let mut best: Option<(VertexId, f32)> = None;
-            for &(c, w) in &weights {
-                if best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((c, w));
-                }
-            }
-            let Some((c, _)) = best else { continue };
-            let cur = labels[v as usize];
-            if c != cur && (!pick_less || c < cur) {
-                labels[v as usize] = c;
-                changed += 1;
-                for &j in g.neighbor_ids(v) {
-                    processed[j as usize] = false;
-                }
-            }
-        }
-        dn.push(changed);
-        if changed == 0 || (!pick_less && (changed as f64 / n as f64) < cfg.tolerance) {
-            break;
-        }
-    }
-    (labels, dn)
-}
-
 proptest! {
     // The identity sweeps run many detections per case; keep the case
     // count low so the suite stays fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
+    fn native_matches_sequential_reference_at_any_thread_count(g in arb_graph(50, 120)) {
+        // Exact oracle: `lpa_seq` is the one-thread definition of the
+        // block-synchronous schedule, so the native backend's labels and
+        // ΔN series must equal it at every thread count, dense and
+        // frontier, under every swap-mitigation mode. The unit-weight
+        // copy makes weight ties — and so the tie-break — the common case.
+        let unit = unit_weights(&g);
+        for (weights, g) in [("random", &g), ("unit", &unit)] {
+            assert_native_matches_seq(g, weights)?;
+        }
+    }
+
+    #[test]
     fn native_bit_identical_across_threads_and_bucketing(g in arb_graph(50, 120)) {
-        // The speculative-pick / sequential-repair commit promises the
-        // committed trajectory equals the sequential asynchronous sweep —
-        // so labels must be bit-identical across any thread count and
-        // any bucket thresholds (they only steer the claim loop), in both
-        // scheduling modes, under every swap-mitigation mode.
-        let tight = BucketThresholds { low_max: 1, mid_max: 3 };
+        // The block-synchronous schedule fixes which labels every pick
+        // reads, so labels and the ΔN series must be bit-identical at any
+        // thread count, in both scheduling modes, under every
+        // swap-mitigation mode. Degree buckets no longer steer the sweep
+        // (they only label the host profiler's attribution), so the only
+        // knob left to vary is the thread count.
         for mode in [
             SwapMode::Off,
             SwapMode::CrossCheck { every: 2 },
@@ -301,51 +252,90 @@ proptest! {
                     .with_frontier(frontier);
                 let base = lpa_native(&g, &cfg.with_threads(1));
                 for threads in [2usize, 4, 8] {
-                    for b in [BucketThresholds::default(), tight] {
-                        let r = lpa_native(&g, &cfg.with_threads(threads).with_buckets(b));
-                        prop_assert_eq!(
-                            &r.labels, &base.labels,
-                            "threads={} frontier={} {:?} {:?}", threads, frontier, mode, b
-                        );
-                        prop_assert_eq!(
-                            &r.changed_per_iter, &base.changed_per_iter,
-                            "trajectory: threads={} frontier={} {:?} {:?}",
-                            threads, frontier, mode, b
-                        );
-                    }
+                    let r = lpa_native(&g, &cfg.with_threads(threads));
+                    prop_assert_eq!(
+                        &r.labels, &base.labels,
+                        "threads={} frontier={} {:?}", threads, frontier, mode
+                    );
+                    prop_assert_eq!(
+                        &r.changed_per_iter, &base.changed_per_iter,
+                        "trajectory: threads={} frontier={} {:?}", threads, frontier, mode
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn native_matches_sequential_reference_at_any_thread_count(g in arb_graph(50, 120)) {
-        // Exact oracle: under the default PL4 schedule the native
-        // backend's labels and ΔN series equal the test-local reference
-        // sweep, at every thread count, dense and frontier. The
-        // unit-weight copy makes weight ties — and so the tie-break —
-        // the common case.
-        let unit = GraphBuilder::new(g.num_vertices())
-            .add_edges(g.vertices().flat_map(|u| {
-                g.neighbor_ids(u).iter().map(move |&v| (u, v, 1.0))
-            }))
-            .build();
+    fn native_matches_sequential_reference_across_blocks(
+        n in 1100usize..3000,
+        degree in 2usize..6,
+        seed in 0u64..1000,
+    ) {
+        // Graphs with more candidates than one sweep block, so picks see
+        // labels committed by earlier blocks of the same iteration.
+        let g = erdos_renyi(n, n * degree / 2, seed);
+        prop_assert!(g.num_vertices() > SWEEP_BLOCK);
+        let unit = unit_weights(&g);
         for (weights, g) in [("random", &g), ("unit", &unit)] {
-            for frontier in [false, true] {
-                let (labels, dn) = pl4_reference(g, frontier);
-                for threads in [1usize, 2, 4, 8] {
-                    let cfg = LpaConfig::default().with_frontier(frontier).with_threads(threads);
-                    let r = lpa_native(g, &cfg);
-                    prop_assert_eq!(
-                        &r.labels, &labels,
-                        "{} weights: threads={} frontier={}", weights, threads, frontier
-                    );
-                    prop_assert_eq!(
-                        &r.changed_per_iter, &dn,
-                        "{} weights trajectory: threads={} frontier={}", weights, threads, frontier
-                    );
-                }
+            assert_native_matches_seq(g, weights)?;
+        }
+    }
+}
+
+/// Copy of `g` with every edge weight set to 1.
+fn unit_weights(g: &Csr) -> Csr {
+    GraphBuilder::new(g.num_vertices())
+        .add_edges(
+            g.vertices()
+                .flat_map(|u| g.neighbor_ids(u).iter().map(move |&v| (u, v, 1.0))),
+        )
+        .build()
+}
+
+/// native ≡ `lpa_seq` on labels and ΔN at threads 1/2/4/8, dense and
+/// frontier, under every swap-mitigation mode.
+fn assert_native_matches_seq(
+    g: &Csr,
+    weights: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for mode in [
+        SwapMode::PickLess { every: 4 },
+        SwapMode::Off,
+        SwapMode::CrossCheck { every: 2 },
+        SwapMode::PickLess { every: 1 },
+        SwapMode::Hybrid {
+            cc_every: 2,
+            pl_every: 3,
+        },
+    ] {
+        for frontier in [false, true] {
+            let cfg = LpaConfig::default()
+                .with_swap_mode(mode)
+                .with_frontier(frontier);
+            let seq = lpa_seq(g, &cfg);
+            for threads in [1usize, 2, 4, 8] {
+                let r = lpa_native(g, &cfg.with_threads(threads));
+                prop_assert_eq!(
+                    &r.labels,
+                    &seq.labels,
+                    "{} weights: threads={} frontier={} {:?}",
+                    weights,
+                    threads,
+                    frontier,
+                    mode
+                );
+                prop_assert_eq!(
+                    &r.changed_per_iter,
+                    &seq.changed_per_iter,
+                    "{} weights trajectory: threads={} frontier={} {:?}",
+                    weights,
+                    threads,
+                    frontier,
+                    mode
+                );
             }
         }
     }
+    Ok(())
 }
