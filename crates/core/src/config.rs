@@ -97,14 +97,15 @@ pub struct LpaConfig {
     /// neighbourhood changed are reprocessed. Disable for the ablation
     /// bench — every iteration then scans all vertices.
     pub pruning: bool,
-    /// Frontier (worklist) execution: instead of scanning all |V|
-    /// vertices and filtering on the pruning flags, each iteration
-    /// processes an explicit active set carried over from the previous
-    /// one (Traag & Šubelj's fast label propagation). Final labels are
-    /// bit-identical to the dense sweep per backend; on the simulated GPU
-    /// the sparse launch charges cycles proportional to the frontier, not
-    /// |V|. Requires `pruning` (the frontier *is* the pruning rule made
-    /// explicit).
+    /// Frontier (worklist) execution on the simulator: instead of
+    /// launching all |V| vertices and filtering on the pruning flags,
+    /// [`crate::lpa_gpu`] compacts an explicit active set carried over
+    /// from the previous iteration (Traag & Šubelj's fast label
+    /// propagation) and launches only it, so the sparse launch charges
+    /// cycles proportional to the frontier, not |V|. [`crate::lpa_native`]
+    /// and [`crate::lpa_seq`] ignore it: their dense pruned sweep gives
+    /// the same labels and was measured faster (DESIGN.md). Requires
+    /// `pruning` (the frontier *is* the pruning rule made explicit).
     pub frontier: bool,
     /// Shared-memory hashtables for low-degree vertices (paper §4.2: the
     /// authors "experimented with shared memory-based hashtables for

@@ -21,17 +21,15 @@
 //! a contiguous slice of the ascending candidate list and counting-sorts
 //! it by block, so it handles each block's members in ascending id order
 //! (order within a block cannot change a result). Each block runs in two
-//! phases split by a barrier. *Compute* picks each member's label, pushes its move to a
-//! lane-local list and clears the mover's neighbours' `processed` flags;
-//! in frontier mode it also CAS-claims the neighbours' worklist pushes
-//! into a lane-local list. *Commit* stores the movers' labels and marks
-//! the next block's members processed. Labels are only read during
-//! compute and only written during commit, flags are only cleared during
-//! compute and only set during commit, and every store is idempotent, so
-//! nothing depends on which lane handles a vertex or in what order:
-//! labels, ΔN and frontier contents are bit-identical at any `--threads
-//! N`. The workers are spawned once per run and park on the barrier
-//! between iterations.
+//! phases split by a barrier. *Compute* picks each member's label, pushes
+//! its move to a lane-local list and clears the mover's neighbours'
+//! `processed` flags. *Commit* stores the movers' labels and marks the
+//! next block's members processed. Labels are only read during compute
+//! and only written during commit, flags are only cleared during compute
+//! and only set during commit, and every store is idempotent, so nothing
+//! depends on which lane handles a vertex or in what order: labels and ΔN
+//! are bit-identical at any `--threads N`. The workers are spawned once
+//! per run and park on the barrier between iterations.
 
 use crate::hostprof::{HostProfData, RunProf, SpanKind, ThreadProf};
 use crate::seq::{shuffle_candidates, SWEEP_BLOCK};
@@ -245,24 +243,15 @@ struct Job {
     block: Vec<u32>,
 }
 
-/// What a lane hands the lead after an iteration.
-#[derive(Default)]
-struct LaneOut {
-    moved: usize,
-    worklist: Vec<VertexId>,
-    movers: Vec<VertexId>,
-}
-
-/// State every lane reads, plus the per-lane output slots.
+/// State every lane reads, plus the iteration's move count.
 struct Shared<'a> {
     g: &'a Csr,
     labels: &'a [AtomicU32],
     processed: &'a [AtomicU8],
-    /// Frontier mode's `queued` flags; empty in dense mode.
-    queued: &'a [AtomicU8],
     barrier: LaneBarrier,
     job: RwLock<Job>,
-    outs: Vec<Mutex<LaneOut>>,
+    /// Moves committed this iteration, summed over the lanes.
+    moved: AtomicUsize,
 }
 
 /// One thread's sweep state.
@@ -309,10 +298,10 @@ impl<V: HashValue> Lane<V> {
         }
     }
 
-    /// Sweep this lane's share of one iteration, block by block, and
-    /// leave its output in `sh.outs[id]`; returns the time spent in
-    /// commit spans. The caller then waits on the barrier every lane
-    /// passes once the iteration is fully committed.
+    /// Sweep this lane's share of one iteration, block by block, and add
+    /// its moves to `sh.moved`; returns the time spent in commit spans.
+    /// The caller then waits on the barrier every lane passes once the
+    /// iteration is fully committed.
     ///
     /// A block's `processed` marks are stored before the barrier that
     /// opens its compute phase, so compute can clear a mover's
@@ -364,9 +353,7 @@ impl<V: HashValue> Lane<V> {
                 sh.processed[v as usize].store(1, Ordering::Relaxed);
             }
         };
-        let mut guard = sh.outs[*id].lock().expect("a sweep lane panicked");
-        let out = &mut *guard;
-        let frontier = !sh.queued.is_empty();
+        let mut moved = 0;
         let mut commit_ns = 0;
         if blocks > 0 {
             mark(0);
@@ -379,19 +366,8 @@ impl<V: HashValue> Lane<V> {
                     continue;
                 };
                 moves.push((v, c));
-                let nbrs = sh.g.neighbor_ids(v);
-                if frontier {
-                    out.movers.push(v);
-                    for &j in nbrs {
-                        sh.processed[j as usize].store(0, Ordering::Relaxed);
-                        if sh.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
-                            out.worklist.push(j);
-                        }
-                    }
-                } else {
-                    for &j in nbrs {
-                        sh.processed[j as usize].store(0, Ordering::Relaxed);
-                    }
+                for &j in sh.g.neighbor_ids(v) {
+                    sh.processed[j as usize].store(0, Ordering::Relaxed);
                 }
             }
             if prof.enabled() {
@@ -412,7 +388,7 @@ impl<V: HashValue> Lane<V> {
             sh.barrier.wait();
 
             prof.begin_span();
-            out.moved += moves.len();
+            moved += moves.len();
             for (v, c) in moves.drain(..) {
                 sh.labels[v as usize].store(c, Ordering::Relaxed);
             }
@@ -421,6 +397,7 @@ impl<V: HashValue> Lane<V> {
             }
             commit_ns += prof.end_span(SpanKind::Commit, job.iter, b as u32);
         }
+        sh.moved.fetch_add(moved, Ordering::Relaxed);
         commit_ns
     }
 }
@@ -436,16 +413,12 @@ pub(crate) struct Sweep<'s, 'a, V> {
 
 impl<V: HashValue> Sweep<'_, '_, V> {
     /// One LPA iteration over the ascending `candidates` (lent to the
-    /// lanes for the iteration); returns ΔN. In frontier mode the lanes'
-    /// worklist pushes and movers are appended to `worklist` and
-    /// `movers`, in no particular order.
+    /// lanes for the iteration); returns ΔN.
     pub(crate) fn run_iteration(
         &mut self,
         iter: u32,
         candidates: &mut Vec<VertexId>,
         pick_less: bool,
-        worklist: &mut Vec<VertexId>,
-        movers: &mut Vec<VertexId>,
     ) -> usize {
         let sh = self.shared;
         {
@@ -473,14 +446,8 @@ impl<V: HashValue> Sweep<'_, '_, V> {
         let mut job = sh.job.write().expect("a sweep lane panicked");
         std::mem::swap(&mut job.cands, candidates);
         drop(job);
-
-        let mut changed = 0;
-        for slot in &sh.outs {
-            let mut out = slot.lock().expect("a sweep lane panicked");
-            changed += std::mem::take(&mut out.moved);
-            worklist.append(&mut out.worklist);
-            movers.append(&mut out.movers);
-        }
+        // Every lane added its moves before the barrier above.
+        let changed = sh.moved.swap(0, Ordering::Relaxed);
         self.runprof.record_iter(
             iter,
             candidates.len().div_ceil(SWEEP_BLOCK) as u32,
@@ -492,15 +459,13 @@ impl<V: HashValue> Sweep<'_, '_, V> {
     }
 }
 
-/// Start the run's lanes over `labels`/`processed` (and, in frontier
-/// mode, a non-empty `queued`), hand the lead's [`Sweep`] to `body`,
-/// then stop the workers. Returns `body`'s result and the host profile
+/// Start the run's lanes over `labels`/`processed`, hand the lead's
+/// [`Sweep`] to `body`, then stop the workers. Returns `body`'s result and the host profile
 /// (`None` unless `profile` is set and the `hostprof` feature is on).
 pub(crate) fn with_lanes<V: HashValue, R>(
     g: &Csr,
     labels: &[AtomicU32],
     processed: &[AtomicU8],
-    queued: &[AtomicU8],
     threads: usize,
     profile: bool,
     body: impl FnOnce(&mut Sweep<'_, '_, V>) -> R,
@@ -513,10 +478,9 @@ pub(crate) fn with_lanes<V: HashValue, R>(
         g,
         labels,
         processed,
-        queued,
         barrier: LaneBarrier::new(lanes),
         job: RwLock::new(Job::default()),
-        outs: (0..lanes).map(|_| Mutex::default()).collect(),
+        moved: AtomicUsize::new(0),
     };
     let sh = &shared;
     std::thread::scope(|s| {

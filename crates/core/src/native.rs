@@ -48,12 +48,7 @@ pub fn lpa_native_observed(
     sink: &mut dyn TraceSink,
     obs: &mut dyn IterObserver,
 ) -> LpaResult {
-    config.validate().expect("invalid LPA config");
-    let init = (0..g.num_vertices() as VertexId).collect();
-    match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(g, config, init, None, sink, obs, None),
-        ValueType::F64 => lpa_native_typed::<f64>(g, config, init, None, sink, obs, None),
-    }
+    run(g, config, None, sink, obs, None)
 }
 
 /// [`lpa_native`] with the host-parallel execution profiler attached:
@@ -64,29 +59,15 @@ pub fn lpa_native_observed(
 /// only observes which thread did what, never what was computed. Returns
 /// `None` profile data when the `hostprof` cargo feature is compiled out.
 pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
-    config.validate().expect("invalid LPA config");
-    let init = (0..g.num_vertices() as VertexId).collect();
     let mut prof = None;
-    let result = match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(
-            g,
-            config,
-            init,
-            None,
-            &mut NullSink,
-            &mut NullObserver,
-            Some(&mut prof),
-        ),
-        ValueType::F64 => lpa_native_typed::<f64>(
-            g,
-            config,
-            init,
-            None,
-            &mut NullSink,
-            &mut NullObserver,
-            Some(&mut prof),
-        ),
-    };
+    let result = run(
+        g,
+        config,
+        None,
+        &mut NullSink,
+        &mut NullObserver,
+        Some(&mut prof),
+    );
     (result, prof)
 }
 
@@ -100,27 +81,31 @@ pub fn lpa_native_from_state(
     init_labels: Vec<VertexId>,
     unprocessed: &[VertexId],
 ) -> LpaResult {
+    run(
+        g,
+        config,
+        Some((init_labels, unprocessed)),
+        &mut NullSink,
+        &mut NullObserver,
+        None,
+    )
+}
+
+/// Validate `config` and run the sweep in its value type. `warm` holds a
+/// warm start's labels and unprocessed seed; `None` starts every vertex
+/// in its own community, unprocessed.
+fn run(
+    g: &Csr,
+    config: &LpaConfig,
+    warm: Option<(Vec<VertexId>, &[VertexId])>,
+    sink: &mut dyn TraceSink,
+    obs: &mut dyn IterObserver,
+    hostprof: Option<&mut Option<HostProfData>>,
+) -> LpaResult {
     config.validate().expect("invalid LPA config");
-    assert_eq!(init_labels.len(), g.num_vertices(), "label length mismatch");
     match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(
-            g,
-            config,
-            init_labels,
-            Some(unprocessed),
-            &mut NullSink,
-            &mut NullObserver,
-            None,
-        ),
-        ValueType::F64 => lpa_native_typed::<f64>(
-            g,
-            config,
-            init_labels,
-            Some(unprocessed),
-            &mut NullSink,
-            &mut NullObserver,
-            None,
-        ),
+        ValueType::F32 => lpa_native_typed::<f32>(g, config, warm, sink, obs, hostprof),
+        ValueType::F64 => lpa_native_typed::<f64>(g, config, warm, sink, obs, hostprof),
     }
 }
 
@@ -147,117 +132,60 @@ fn unprocessed_vertices(flags: &[AtomicU8], buf: &mut Vec<VertexId>) {
 fn lpa_native_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
-    init_labels: Vec<VertexId>,
-    unprocessed: Option<&[VertexId]>,
+    warm: Option<(Vec<VertexId>, &[VertexId])>,
     sink: &mut dyn TraceSink,
     obs: &mut dyn IterObserver,
     hostprof: Option<&mut Option<HostProfData>>,
 ) -> LpaResult {
     let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = init_labels.into_iter().map(AtomicU32::new).collect();
     // Isolated vertices are never candidates; marking them processed up
     // front lets the pruned candidate filter read the flags alone.
-    let processed: Vec<AtomicU8> = match unprocessed {
+    let (init_labels, processed): (Vec<VertexId>, Vec<AtomicU8>) = match warm {
         // static run: every vertex with an edge starts unprocessed
-        None => (0..n as VertexId)
-            .map(|v| AtomicU8::new((g.degree(v) == 0) as u8))
-            .collect(),
-        // warm start: only the given frontier is unprocessed
-        Some(seed) => {
+        None => (
+            (0..n as VertexId).collect(),
+            (0..n as VertexId)
+                .map(|v| AtomicU8::new((g.degree(v) == 0) as u8))
+                .collect(),
+        ),
+        // warm start: only the given seed is unprocessed
+        Some((init_labels, seed)) => {
+            assert_eq!(init_labels.len(), n, "label length mismatch");
             let flags: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(1)).collect();
             for &v in seed {
                 if g.degree(v) > 0 {
                     flags[v as usize].store(0, Ordering::Relaxed);
                 }
             }
-            flags
+            (init_labels, flags)
         }
     };
-    // Frontier (worklist) state. Activation is deduplicated with atomic
-    // `queued` flags (a mover flips a neighbour's flag 0 → 1 and owns the
-    // push). The lanes' pushes are merged after each iteration, and
-    // sorting ascending at the next iteration start makes the candidate
-    // list match the dense sweep's (see DESIGN.md).
-    let frontier = config.frontier;
-    let queued: Vec<AtomicU8> = (0..if frontier { n } else { 0 })
-        .map(|_| AtomicU8::new(0))
-        .collect();
-    let mut worklist: Vec<VertexId> = Vec::new();
-    if frontier {
-        match unprocessed {
-            None => {
-                for v in 0..n as VertexId {
-                    if g.degree(v) > 0 {
-                        queued[v as usize].store(1, Ordering::Relaxed);
-                        worklist.push(v);
-                    }
-                }
-            }
-            Some(seed) => {
-                for &v in seed {
-                    if g.degree(v) > 0 && queued[v as usize].swap(1, Ordering::Relaxed) == 0 {
-                        worklist.push(v);
-                    }
-                }
-            }
-        }
-    }
+    let labels: Vec<AtomicU32> = init_labels.into_iter().map(AtomicU32::new).collect();
     let threads = crate::config::resolve_threads(config.threads);
-    let ((iterations, converged, changed_per_iter, scanned_per_iter), prof) = with_lanes::<V, _>(
+    let ((iterations, converged, changed_per_iter), prof) = with_lanes::<V, _>(
         g,
         &labels,
         &processed,
-        &queued,
         threads,
         hostprof.is_some(),
         |sweep| {
             let mut candidates: Vec<VertexId> = Vec::new();
-            let mut movers: Vec<VertexId> = Vec::new();
             let mut changed_per_iter = Vec::new();
-            let mut scanned_per_iter = Vec::new();
             let mut converged = false;
             let mut iterations = 0;
             let t0 = Instant::now();
             let now_us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
             for iter in 0..config.max_iterations {
-                let scanned = if frontier {
-                    worklist.sort_unstable();
-                    // In-queue invariant: the CAS on `queued` means a
-                    // vertex can be enqueued at most once per iteration,
-                    // and every entry still holds its flag at drain time.
-                    debug_assert!(
-                        worklist.windows(2).all(|w| w[0] != w[1]),
-                        "duplicate enqueue in native frontier worklist"
-                    );
-                    debug_assert!(
-                        worklist
-                            .iter()
-                            .all(|&v| queued[v as usize].load(Ordering::Relaxed) == 1),
-                        "worklist entry without its queued flag set"
-                    );
-                    let scanned = worklist.len();
-                    for &v in &worklist {
-                        queued[v as usize].store(0, Ordering::Relaxed);
-                    }
-                    candidates.clear();
-                    candidates.extend(
-                        worklist
-                            .drain(..)
-                            .filter(|&v| processed[v as usize].load(Ordering::Relaxed) == 0),
-                    );
-                    scanned
-                } else if config.pruning {
+                if config.pruning {
                     unprocessed_vertices(&processed, &mut candidates);
-                    n
                 } else {
                     candidates.clear();
                     candidates.extend((0..n as VertexId).filter(|&v| g.degree(v) > 0));
-                    n
-                };
-                if frontier && candidates.is_empty() {
-                    // Empty frontier: nothing can change, so the run is
-                    // converged without spending (or recording) a sweep.
+                }
+                if candidates.is_empty() {
+                    // Nothing can change, so the run is converged without
+                    // spending (or recording) a sweep.
                     converged = true;
                     break;
                 }
@@ -277,64 +205,34 @@ fn lpa_native_typed<V: HashValue>(
                         &[("iter", iter.into())],
                     );
                 }
-                let mut changed = sweep.run_iteration(
-                    iter,
-                    &mut candidates,
-                    pick_less,
-                    &mut worklist,
-                    &mut movers,
-                );
+                let mut changed = sweep.run_iteration(iter, &mut candidates, pick_less);
 
                 // Cross-Check pass (paper §4.1): sequential over changed
                 // vertices, so a revert is visible to the partner's check
-                // — this is the symmetry breaker. Only movers can satisfy
-                // `c != prev[v]` and a revert never flips a non-mover's
-                // condition, so in frontier mode the ascending scan over
-                // the movers is exactly the dense 0..n scan.
+                // — this is the symmetry breaker.
                 if let Some(prev) = prev {
                     let mut reverted = 0usize;
-                    if frontier {
-                        movers.sort_unstable();
-                        for &m in &movers {
-                            let v = m as usize;
-                            let c = labels[v].load(Ordering::Relaxed);
-                            if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
-                                labels[v].store(prev[v], Ordering::Relaxed);
-                                processed[v].store(0, Ordering::Relaxed);
-                                if queued[v].swap(1, Ordering::Relaxed) == 0 {
-                                    worklist.push(m);
-                                }
-                                reverted += 1;
-                            }
-                        }
-                    } else {
-                        for v in 0..n {
-                            let c = labels[v].load(Ordering::Relaxed);
-                            if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
-                                labels[v].store(prev[v], Ordering::Relaxed);
-                                processed[v].store(0, Ordering::Relaxed);
-                                reverted += 1;
-                            }
+                    for v in 0..n {
+                        let c = labels[v].load(Ordering::Relaxed);
+                        if c != prev[v] && labels[c as usize].load(Ordering::Relaxed) != c {
+                            labels[v].store(prev[v], Ordering::Relaxed);
+                            processed[v].store(0, Ordering::Relaxed);
+                            reverted += 1;
                         }
                     }
                     changed = changed.saturating_sub(reverted);
                 }
-                movers.clear();
 
                 changed_per_iter.push(changed);
-                scanned_per_iter.push(scanned);
                 if obs.is_enabled() {
                     let snapshot: Vec<VertexId> =
                         labels.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-                    obs.on_iteration(iter, changed, candidates.len(), scanned, &snapshot);
+                    obs.on_iteration(iter, changed, candidates.len(), n, &snapshot);
                 }
                 if sink.is_enabled() {
                     let ts = now_us(&t0);
                     sink.counter("dN", ts, changed as f64);
                     sink.counter("active_vertices", ts, candidates.len() as f64);
-                    if frontier {
-                        sink.counter("frontier_size", ts, scanned as f64);
-                    }
                     sink.span_end(
                         track::HOST,
                         "iteration",
@@ -357,7 +255,7 @@ fn lpa_native_typed<V: HashValue>(
                     break;
                 }
             }
-            (iterations, converged, changed_per_iter, scanned_per_iter)
+            (iterations, converged, changed_per_iter)
         },
     );
 
@@ -368,8 +266,8 @@ fn lpa_native_typed<V: HashValue>(
         labels: labels.into_iter().map(|l| l.into_inner()).collect(),
         iterations,
         converged,
+        scanned_per_iter: vec![n; changed_per_iter.len()],
         changed_per_iter,
-        scanned_per_iter,
         stats: KernelStats::new(),
         staged_collisions: 0,
     }
@@ -525,69 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn frontier_matches_dense_exactly_across_swap_modes() {
-        // The worklist mirrors the pruning flags, so the full trajectory
-        // — labels, ΔN series, iteration count — must be bit-identical.
-        let g = erdos_renyi(200, 600, 13);
-        for mode in [
-            SwapMode::Off,
-            SwapMode::CrossCheck { every: 2 },
-            SwapMode::PickLess { every: 4 },
-            SwapMode::PickLess { every: 1 },
-            SwapMode::Hybrid {
-                cc_every: 2,
-                pl_every: 3,
-            },
-        ] {
-            let dense = lpa_native(&g, &cfg().with_swap_mode(mode));
-            let front = lpa_native(&g, &cfg().with_swap_mode(mode).with_frontier(true));
-            assert_eq!(dense.labels, front.labels, "{mode:?}");
-            assert_eq!(dense.changed_per_iter, front.changed_per_iter, "{mode:?}");
-            assert_eq!(dense.iterations, front.iterations, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn frontier_scans_fewer_vertices() {
-        // The run must outlast the first two sweeps for the frontier to
-        // prune anything: this planted graph takes four.
-        let g = planted_partition(&[60, 60, 60], 12.0, 0.5, 5).graph;
-        let dense = lpa_native(&g, &cfg());
-        let front = lpa_native(&g, &cfg().with_frontier(true));
-        assert!(dense.iterations > 2);
-        assert_eq!(dense.labels, front.labels);
-        assert!(
-            front.scanned_per_iter.iter().sum::<usize>()
-                < dense.scanned_per_iter.iter().sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn empty_frontier_warm_start_converges_without_a_sweep() {
-        // Warm start with nothing to do: the frontier starts empty and the
-        // run must report converged without recording a single iteration.
+    fn empty_warm_start_converges_without_a_sweep() {
+        // Warm start with nothing to do: no vertex starts unprocessed, so
+        // the run must report converged without recording an iteration.
         let g = two_cliques_light_bridge(6);
         let settled = lpa_native(&g, &cfg());
-        let r = lpa_native_from_state(&g, &cfg().with_frontier(true), settled.labels.clone(), &[]);
+        let r = lpa_native_from_state(&g, &cfg(), settled.labels.clone(), &[]);
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
         assert!(r.changed_per_iter.is_empty());
         assert_eq!(r.labels, settled.labels);
-    }
-
-    #[test]
-    fn frontier_bit_identical_across_thread_counts() {
-        let g = erdos_renyi(250, 800, 17);
-        let cfg = cfg().with_frontier(true);
-        let base = lpa_native(&g, &cfg.with_threads(1));
-        for threads in [2, 3, 4] {
-            let r = lpa_native(&g, &cfg.with_threads(threads));
-            assert_eq!(base.labels, r.labels, "threads={threads}");
-            assert_eq!(
-                base.changed_per_iter, r.changed_per_iter,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub trait IterObserver {
     /// * `active` — candidate vertices processed this iteration (the
     ///   pruned work set).
     /// * `scanned` — vertices the iteration had to *inspect* to build
-    ///   that work set: |V| for a dense sweep, the worklist length for a
+    ///   that work set: |V| for a dense sweep (always, on the native and
+    ///   sequential backends), the worklist length for a simulator
     ///   frontier iteration. `active <= scanned` always holds.
     /// * `labels` — the committed label of every vertex after the
     ///   iteration.

@@ -9,8 +9,8 @@
 //! stored, and each mover un-prunes its neighbours. A pick sums the
 //! neighbours' edge weights per label in CSR order (in the configured
 //! value type) and takes the first maximum in first-touched order, as
-//! GVE-LPA does. Pick-Less, Cross-Check, pruning, the per-iteration
-//! tolerance and frontier scheduling follow ν-LPA.
+//! GVE-LPA does. Pick-Less, Cross-Check, pruning and the per-iteration
+//! tolerance follow ν-LPA.
 
 use crate::config::{LpaConfig, ValueType};
 use crate::observe::{IterObserver, NullObserver};
@@ -105,64 +105,16 @@ fn lpa_seq_typed<V: HashValue>(
     let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
     let mut processed = vec![false; n];
     let mut changed_per_iter = Vec::new();
-    let mut scanned_per_iter = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
 
-    // Frontier (worklist) state. The worklist mirrors the pruning flags
-    // exactly: a vertex is queued iff its `processed` flag was cleared
-    // (by a moving neighbour or a Cross-Check revert) since it last ran.
-    // Sorting ascending and re-filtering on the flag at iteration start
-    // reproduces the dense candidate list verbatim, so the shuffled sweep
-    // order — and therefore every label — is bit-identical to the dense
-    // sweep; only the O(n)-per-iteration scan disappears.
-    let frontier = config.frontier;
-    let mut worklist: Vec<VertexId> = Vec::new();
-    let mut queued = vec![false; if frontier { n } else { 0 }];
-    if frontier {
-        for v in 0..n as VertexId {
-            if g.degree(v) > 0 {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-    }
-    let mut movers: Vec<VertexId> = Vec::new();
-
     for iter in 0..config.max_iterations {
-        let (mut candidates, scanned) = if frontier {
-            worklist.sort_unstable();
-            // In-queue invariant: the `queued` bitmap means a vertex can
-            // be enqueued at most once per iteration, and every entry
-            // still holds its flag at drain time.
-            debug_assert!(
-                worklist.windows(2).all(|w| w[0] != w[1]),
-                "duplicate enqueue in sequential frontier worklist"
-            );
-            debug_assert!(
-                worklist.iter().all(|&v| queued[v as usize]),
-                "worklist entry without its queued flag set"
-            );
-            let scanned = worklist.len();
-            for &v in &worklist {
-                queued[v as usize] = false;
-            }
-            let cands: Vec<VertexId> = worklist
-                .drain(..)
-                .filter(|&v| !processed[v as usize])
-                .collect();
-            (cands, scanned)
-        } else {
-            (
-                (0..n as VertexId)
-                    .filter(|&v| (!config.pruning || !processed[v as usize]) && g.degree(v) > 0)
-                    .collect(),
-                n,
-            )
-        };
-        if frontier && candidates.is_empty() {
-            // Empty frontier: nothing can change, so the run is converged
-            // without spending (or recording) a final sweep.
+        let mut candidates: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| (!config.pruning || !processed[v as usize]) && g.degree(v) > 0)
+            .collect();
+        if candidates.is_empty() {
+            // Nothing can change, so the run is converged without spending
+            // (or recording) a sweep.
             converged = true;
             break;
         }
@@ -199,68 +151,36 @@ fn lpa_seq_typed<V: HashValue>(
             changed += moves.len();
             for (v, c) in moves {
                 labels[v as usize] = c;
-                if frontier {
-                    movers.push(v);
-                }
                 for &j in g.neighbor_ids(v) {
                     processed[j as usize] = false;
-                    if frontier && !queued[j as usize] {
-                        queued[j as usize] = true;
-                        worklist.push(j);
-                    }
                 }
             }
         }
 
-        // Cross-Check pass: revert "bad" changes (paper §4.1). Only
-        // movers can satisfy `c != prev[v]`, and reverting a mover never
-        // flips a non-mover's condition, so in frontier mode scanning the
-        // movers in ascending vertex order is exactly the dense 0..n scan.
+        // Cross-Check pass: revert "bad" changes (paper §4.1).
         if let Some(prev) = prev {
             let mut reverted = 0usize;
-            if frontier {
-                movers.sort_unstable();
-                for &m in &movers {
-                    let v = m as usize;
-                    let c = labels[v];
-                    if c != prev[v] && labels[c as usize] != c {
-                        labels[v] = prev[v];
-                        processed[v] = false;
-                        if !queued[v] {
-                            queued[v] = true;
-                            worklist.push(m);
-                        }
-                        reverted += 1;
-                    }
-                }
-            } else {
-                for v in 0..n {
-                    let c = labels[v];
-                    if c != prev[v] && labels[c as usize] != c {
-                        labels[v] = prev[v];
-                        // reverted vertices may need reprocessing
-                        processed[v] = false;
-                        reverted += 1;
-                    }
+            for v in 0..n {
+                let c = labels[v];
+                if c != prev[v] && labels[c as usize] != c {
+                    labels[v] = prev[v];
+                    // reverted vertices may need reprocessing
+                    processed[v] = false;
+                    reverted += 1;
                 }
             }
             // a reverted move no longer counts as a change
             changed -= reverted;
         }
-        movers.clear();
 
         changed_per_iter.push(changed);
-        scanned_per_iter.push(scanned);
         if obs.is_enabled() {
-            obs.on_iteration(iter, changed, active, scanned, &labels);
+            obs.on_iteration(iter, changed, active, n, &labels);
         }
         if sink.is_enabled() {
             let ts = t0.elapsed().as_micros() as u64;
             sink.counter("dN", ts, changed as f64);
             sink.counter("active_vertices", ts, active as f64);
-            if frontier {
-                sink.counter("frontier_size", ts, scanned as f64);
-            }
             sink.span_end(
                 track::HOST,
                 "iteration",
@@ -286,8 +206,8 @@ fn lpa_seq_typed<V: HashValue>(
         labels,
         iterations,
         converged,
+        scanned_per_iter: vec![n; changed_per_iter.len()],
         changed_per_iter,
-        scanned_per_iter,
         stats: KernelStats::new(),
         staged_collisions: 0,
     }
@@ -434,62 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn frontier_matches_dense_exactly_across_swap_modes() {
-        // The worklist mirrors the pruning flags, so the full trajectory
-        // — labels, ΔN series, iteration count — must be bit-identical.
-        let g = nulpa_graph::gen::erdos_renyi(200, 600, 11);
-        for mode in [
-            SwapMode::Off,
-            SwapMode::CrossCheck { every: 2 },
-            SwapMode::PickLess { every: 4 },
-            SwapMode::PickLess { every: 1 },
-            SwapMode::Hybrid {
-                cc_every: 2,
-                pl_every: 3,
-            },
-        ] {
-            let dense = lpa_seq(&g, &cfg().with_swap_mode(mode));
-            let front = lpa_seq(&g, &cfg().with_swap_mode(mode).with_frontier(true));
-            assert_eq!(dense.labels, front.labels, "{mode:?}");
-            assert_eq!(dense.changed_per_iter, front.changed_per_iter, "{mode:?}");
-            assert_eq!(dense.iterations, front.iterations, "{mode:?}");
-            assert_eq!(dense.converged, front.converged, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn frontier_scans_fewer_vertices() {
-        // The run must outlast the first two sweeps for the frontier to
-        // prune anything: this planted graph takes four.
-        let g = nulpa_graph::gen::planted_partition(&[60, 60, 60], 12.0, 0.5, 5).graph;
-        let dense = lpa_seq(&g, &cfg());
-        assert!(dense.iterations > 2);
-        let front = lpa_seq(&g, &cfg().with_frontier(true));
-        assert_eq!(dense.labels, front.labels);
-        assert!(dense
-            .scanned_per_iter
-            .iter()
-            .all(|&s| s == g.num_vertices()));
-        assert!(
-            front.scanned_per_iter.iter().sum::<usize>()
-                < dense.scanned_per_iter.iter().sum::<usize>(),
-            "frontier should inspect fewer vertices: {:?}",
-            front.scanned_per_iter
-        );
-        // active <= scanned per iteration
-        assert!(front
-            .scanned_per_iter
-            .iter()
-            .zip(&front.changed_per_iter)
-            .all(|(&s, &c)| c <= s));
-    }
-
-    #[test]
-    fn empty_frontier_converges_without_a_sweep() {
-        // No edges: the initial frontier is empty, so the run must report
+    fn edgeless_graph_converges_without_a_sweep() {
+        // No edges: no vertex is ever a candidate, so the run must report
         // converged without recording a single iteration.
         let g = Csr::empty(5);
-        let r = lpa_seq(&g, &cfg().with_frontier(true));
+        let r = lpa_seq(&g, &cfg());
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
         assert!(r.changed_per_iter.is_empty());

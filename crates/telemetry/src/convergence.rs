@@ -36,9 +36,10 @@ pub struct IterationSample {
     /// `active / |V|` — the frontier-scheduling signal.
     pub active_fraction: f64,
     /// Vertices the iteration inspected to build the work set: |V| for a
-    /// dense sweep, the worklist length under `LpaConfig::frontier`. The
-    /// frontier win is this column collapsing while `delta_n` tracks the
-    /// dense run exactly.
+    /// dense sweep, the worklist length under `LpaConfig::frontier` on the
+    /// simulator (the native and sequential backends always sweep
+    /// densely). The frontier win is this column collapsing while
+    /// `delta_n` tracks the dense run.
     pub scanned: usize,
     /// Distinct communities after the iteration.
     pub communities: usize,

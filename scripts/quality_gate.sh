@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Quality-regression gate. Runs the telemetered backend matrix (seq,
-# nu-lpa, nu-lpa-sim, plus their -frontier worklist-mode variants) over
-# the built-in graph trio via `nulpa stats`, appends the run records to
-# the results/history.jsonl ledger, and checks one `graph/backend` row per
-# run against the committed `gate-v1` results/telemetry_baseline.json
-# with the shared gate (crates/obs/src/gate.rs), printing its verdict
-# table to stderr. A row fails when
+# nu-lpa, nu-lpa-sim, plus the simulator's worklist mode
+# nu-lpa-sim-frontier) over the built-in graph trio via `nulpa stats`,
+# appends the run records to the results/history.jsonl ledger, and checks
+# one `graph/backend` row per run against the committed `gate-v1`
+# results/telemetry_baseline.json with the shared gate
+# (crates/obs/src/gate.rs), printing its verdict table to stderr. A row
+# fails when
 #   - modularity drops more than 1% below baseline (deterministic — the
 #     hard gate), or
 #   - wall_ms / peak_heap_bytes rise more than 10% above baseline; these

@@ -96,17 +96,19 @@ fn usage() {
          --trace writes a Chrome/Perfetto trace of the last run's thread\n  \
          timelines; --check gates iterations, repair rate and imbalance\n  \
          against a committed baseline (results/hostprof_baseline.json).\n\n\
-         STATS: runs the seq / nu-lpa / nu-lpa-sim backends with per-iteration\n  \
-         convergence telemetry (dN, active fraction, entropy, modularity),\n  \
-         wall-clock phase spans and heap accounting; --history appends run\n  \
-         records to a JSONL ledger, --check gates against a committed baseline.\n\n\
+         STATS: runs the seq / nu-lpa / nu-lpa-sim / nu-lpa-sim-frontier\n  \
+         backends with per-iteration convergence telemetry (dN, active\n  \
+         fraction, entropy, modularity), wall-clock phase spans and heap\n  \
+         accounting; --history appends run records to a JSONL ledger,\n  \
+         --check gates against a committed baseline.\n\n\
          METHODS: nu-lpa (default), nu-lpa-sim (simulated A100), flpa,\n  \
          networkit, gunrock, louvain, leiden, gve-lpa\n\n\
          THREADS: --threads N (or NULPA_THREADS=N) sets the host threads\n  \
          driving nu-lpa / nu-lpa-sim; results are identical at any count.\n\n\
-         FRONTIER: --frontier switches nu-lpa / nu-lpa-sim to worklist\n  \
-         (active-set) scheduling: only re-activated vertices are scanned\n  \
-         and, on the simulator, launched. Deterministic at any thread count.\n\n\
+         FRONTIER: --frontier switches nu-lpa-sim to worklist (active-set)\n  \
+         scheduling: only re-activated vertices are compacted and launched,\n  \
+         so simulated cycles scale with the frontier. Deterministic at any\n  \
+         thread count. nu-lpa's dense pruned sweep has no frontier mode.\n\n\
          TRACING: --trace x.jsonl writes a JSONL event stream; any other\n  \
          extension writes a Chrome trace-event file (open in Perfetto).\n  \
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
@@ -312,14 +314,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         }
     };
 
-    const BACKENDS: &[&str] = &[
-        "seq",
-        "nu-lpa",
-        "nu-lpa-sim",
-        "seq-frontier",
-        "nu-lpa-frontier",
-        "nu-lpa-sim-frontier",
-    ];
+    const BACKENDS: &[&str] = &["seq", "nu-lpa", "nu-lpa-sim", "nu-lpa-sim-frontier"];
     let backends: Vec<&str> = BACKENDS
         .iter()
         .copied()
@@ -447,9 +442,9 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
 
     let mut rec = ConvergenceRecorder::new(g);
     let mut sink = NullSink;
-    // `<backend>-frontier` rows run the same backend in worklist mode, so
-    // the quality gate also pins the frontier scheduler's modularity and
-    // the ledger records its collapsing `scanned` trajectory.
+    // The `nu-lpa-sim-frontier` row runs the simulator in worklist mode,
+    // so the quality gate also pins the frontier scheduler's modularity
+    // and the ledger records its collapsing `scanned` trajectory.
     let (backend, cfg) = match backend.strip_suffix("-frontier") {
         Some(base) => (base, cfg.with_frontier(true)),
         None => (backend, *cfg),
@@ -595,9 +590,9 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(0);
     let frontier = args.iter().any(|a| a == "--frontier");
-    if frontier && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
+    if frontier && method != "nu-lpa-sim" {
         return Err(format!(
-            "--frontier: method `{method}` has no frontier mode (use nu-lpa or nu-lpa-sim)"
+            "--frontier: method `{method}` has no frontier mode (use nu-lpa-sim)"
         ));
     }
     let cfg = LpaConfig::default()
@@ -1144,10 +1139,6 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
         (
             "nu-lpa",
             Box::new(|g| lpa_native(g, &LpaConfig::default()).labels),
-        ),
-        (
-            "nu-lpa+frontier",
-            Box::new(|g| lpa_native(g, &LpaConfig::default().with_frontier(true)).labels),
         ),
         (
             "gunrock",

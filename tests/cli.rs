@@ -85,6 +85,32 @@ fn detect_all_methods_run() {
     }
 }
 
+/// `--frontier` is a simulator mode: `nu-lpa` rejects it with exit 2
+/// like every other method, `nu-lpa-sim` runs it.
+#[test]
+fn detect_frontier_only_on_the_simulator() {
+    let path = tmp("frontier.txt");
+    std::fs::write(&path, two_cliques_edge_list()).unwrap();
+    let detect = |method: &str| {
+        Command::new(BIN)
+            .args(["detect", path.to_str().unwrap(), "--method", method])
+            .arg("--frontier")
+            .output()
+            .unwrap()
+    };
+    let out = detect("nu-lpa");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("has no frontier mode"), "{err}");
+    let out = detect("nu-lpa-sim");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 6);
+}
+
 #[test]
 fn detect_reads_stdin() {
     let mut child = Command::new(BIN)
@@ -396,7 +422,11 @@ fn stats_json_reports_all_backends() {
     let text = String::from_utf8_lossy(&out.stdout);
     let doc = nu_lpa::obs::json::parse(text.trim()).expect("stats --json parses");
     let runs = doc.get("runs").unwrap().as_arr().unwrap();
-    assert_eq!(runs.len(), 18, "3 graphs x 6 backends (dense + frontier)");
+    assert_eq!(
+        runs.len(),
+        12,
+        "3 graphs x 4 backends (seq, nu-lpa, nu-lpa-sim, nu-lpa-sim-frontier)"
+    );
     for run in runs {
         assert!(!run.get("trajectory").unwrap().as_arr().unwrap().is_empty());
         assert!(run.get("modularity").unwrap().as_f64().is_some());

@@ -54,54 +54,9 @@ fn baselines_deterministic_per_seed() {
 
 #[test]
 fn native_backend_deterministic_single_thread() {
-    // the native backend races benignly across Rayon workers; pinned to
-    // one thread it must be exactly reproducible
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
     let g = web_crawl(1500, 5, 0.1, 5);
-    let cfg = LpaConfig::default();
-    let (a, b) = pool.install(|| (lpa_native(&g, &cfg), lpa_native(&g, &cfg)));
-    assert_eq!(a.labels, b.labels);
-}
-
-#[test]
-fn frontier_reactivation_never_duplicates_worklist_entries() {
-    // Regression test for duplicate frontier enqueues. Hub vertex 0 is
-    // weakly tied to every leaf; the leaves are paired by heavy edges, so
-    // in the first sweep one leaf of each pair adopts its partner's
-    // label — and every one of those movers tries to re-activate the hub
-    // in the same sweep. The in-queue bitmap must collapse those into a
-    // single worklist entry; the drain-time debug asserts in `lpa_seq`
-    // and `lpa_native` panic (under `cargo test`'s debug assertions) if
-    // a duplicate ever lands, and the frontier run must still match the
-    // dense sweep bit-for-bit.
-    use nu_lpa::graph::GraphBuilder;
-    let pairs = 12;
-    let n = 1 + 2 * pairs;
-    let mut edges: Vec<(u32, u32, f32)> = Vec::new();
-    for p in 0..pairs as u32 {
-        let (a, b) = (1 + 2 * p, 2 + 2 * p);
-        edges.push((a, b, 10.0)); // heavy: the pair merges in sweep 1
-        edges.push((0, a, 0.1)); // weak: each mover re-activates the hub
-        edges.push((0, b, 0.1));
-    }
-    let g = GraphBuilder::new(n).add_undirected_edges(edges).build();
-    let frontier_cfg = LpaConfig::default().with_frontier(true);
-    let dense = frontier_cfg.with_frontier(false);
-    assert_eq!(
-        lpa_seq(&g, &frontier_cfg).labels,
-        lpa_seq(&g, &dense).labels,
-        "seq frontier diverged from dense"
-    );
-    for threads in [1, 4] {
-        assert_eq!(
-            lpa_native(&g, &frontier_cfg.with_threads(threads)).labels,
-            lpa_native(&g, &dense.with_threads(1)).labels,
-            "native frontier diverged from dense (threads={threads})"
-        );
-    }
+    let cfg = LpaConfig::default().with_threads(1);
+    assert_eq!(lpa_native(&g, &cfg).labels, lpa_native(&g, &cfg).labels);
 }
 
 #[test]

@@ -124,16 +124,14 @@ fn frontier_mode_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn native_frontier_is_identical_across_thread_counts() {
-    // The native backend's per-thread worklists are merged and
-    // deduplicated deterministically, so `--threads N` stays bit-identical
-    // to the serial run in frontier mode too.
+fn native_is_identical_across_thread_counts() {
+    // The native sweep splits every block over the lanes by contiguous
+    // slices of the candidate list, so `--threads N` stays bit-identical
+    // to the serial run at odd thread counts and more lanes than cores.
     use nu_lpa::core::lpa_native;
     let g = erdos_renyi(350, 1200, 19);
     for mode in swap_modes() {
-        let cfg = LpaConfig::default()
-            .with_swap_mode(mode)
-            .with_frontier(true);
+        let cfg = LpaConfig::default().with_swap_mode(mode);
         let serial = lpa_native(&g, &cfg.with_threads(1));
         for threads in [2, 3, 4, 7] {
             let parallel = lpa_native(&g, &cfg.with_threads(threads));

@@ -145,11 +145,10 @@ proptest! {
     #[test]
     fn frontier_agrees_with_dense_sweeps(g in arb_graph(50, 120)) {
         // Worklist scheduling is an execution-order optimisation, not an
-        // algorithm change: under every swap-mitigation mode the frontier
-        // run of each backend must land on the dense sweep's labels
-        // (seq/native mirror the pruning flags exactly; the simulator's
-        // narrowed rule is label-identical on single-wave launches, and
-        // these graphs fit one A100 wave).
+        // algorithm change: under every swap-mitigation mode the
+        // simulator's frontier run must land on its dense sweep's labels
+        // (the narrowed rule is label-identical on single-wave launches,
+        // and these graphs fit one A100 wave).
         for mode in [
             SwapMode::Off,
             SwapMode::CrossCheck { every: 2 },
@@ -158,12 +157,6 @@ proptest! {
         ] {
             let dense = LpaConfig::default().with_swap_mode(mode).with_threads(1);
             let front = dense.with_frontier(true);
-            let ds = lpa_seq(&g, &dense);
-            let fs = lpa_seq(&g, &front);
-            prop_assert_eq!(&fs.labels, &ds.labels, "seq {:?}", mode);
-            let dn = lpa_native(&g, &dense);
-            let fnat = lpa_native(&g, &front);
-            prop_assert_eq!(&fnat.labels, &dn.labels, "native {:?}", mode);
             let dg = lpa_gpu(&g, &dense);
             let fg = lpa_gpu(&g, &front);
             prop_assert_eq!(&fg.labels, &dg.labels, "gpu {:?}", mode);
@@ -173,10 +166,6 @@ proptest! {
                 fg.iterations == dg.iterations || fg.iterations + 1 == dg.iterations,
                 "gpu {:?}: {} vs {}", mode, fg.iterations, dg.iterations
             );
-            let q_dense = modularity(&g, &ds.labels);
-            for labels in [&fs.labels, &fnat.labels] {
-                prop_assert!((modularity(&g, labels) - q_dense).abs() < 1e-9);
-            }
             prop_assert!(
                 (modularity(&g, &fg.labels) - modularity(&g, &dg.labels)).abs() < 1e-9
             );
@@ -223,8 +212,8 @@ proptest! {
     fn native_matches_sequential_reference_at_any_thread_count(g in arb_graph(50, 120)) {
         // Exact oracle: `lpa_seq` is the one-thread definition of the
         // block-synchronous schedule, so the native backend's labels and
-        // ΔN series must equal it at every thread count, dense and
-        // frontier, under every swap-mitigation mode. The unit-weight
+        // ΔN series must equal it at every thread count, under every
+        // swap-mitigation mode. The unit-weight
         // copy makes weight ties — and so the tie-break — the common case.
         let unit = unit_weights(&g);
         for (weights, g) in [("random", &g), ("unit", &unit)] {
@@ -236,8 +225,7 @@ proptest! {
     fn native_bit_identical_across_threads_and_bucketing(g in arb_graph(50, 120)) {
         // The block-synchronous schedule fixes which labels every pick
         // reads, so labels and the ΔN series must be bit-identical at any
-        // thread count, in both scheduling modes, under every
-        // swap-mitigation mode. Degree buckets no longer steer the sweep
+        // thread count, under every swap-mitigation mode. Degree buckets no longer steer the sweep
         // (they only label the host profiler's attribution), so the only
         // knob left to vary is the thread count.
         for mode in [
@@ -246,22 +234,15 @@ proptest! {
             SwapMode::PickLess { every: 1 },
             SwapMode::Hybrid { cc_every: 2, pl_every: 3 },
         ] {
-            for frontier in [false, true] {
-                let cfg = LpaConfig::default()
-                    .with_swap_mode(mode)
-                    .with_frontier(frontier);
-                let base = lpa_native(&g, &cfg.with_threads(1));
-                for threads in [2usize, 4, 8] {
-                    let r = lpa_native(&g, &cfg.with_threads(threads));
-                    prop_assert_eq!(
-                        &r.labels, &base.labels,
-                        "threads={} frontier={} {:?}", threads, frontier, mode
-                    );
-                    prop_assert_eq!(
-                        &r.changed_per_iter, &base.changed_per_iter,
-                        "trajectory: threads={} frontier={} {:?}", threads, frontier, mode
-                    );
-                }
+            let cfg = LpaConfig::default().with_swap_mode(mode);
+            let base = lpa_native(&g, &cfg.with_threads(1));
+            for threads in [2usize, 4, 8] {
+                let r = lpa_native(&g, &cfg.with_threads(threads));
+                prop_assert_eq!(&r.labels, &base.labels, "threads={} {:?}", threads, mode);
+                prop_assert_eq!(
+                    &r.changed_per_iter, &base.changed_per_iter,
+                    "trajectory: threads={} {:?}", threads, mode
+                );
             }
         }
     }
@@ -293,8 +274,8 @@ fn unit_weights(g: &Csr) -> Csr {
         .build()
 }
 
-/// native ≡ `lpa_seq` on labels and ΔN at threads 1/2/4/8, dense and
-/// frontier, under every swap-mitigation mode.
+/// native ≡ `lpa_seq` on labels and ΔN at threads 1/2/4/8, under every
+/// swap-mitigation mode.
 fn assert_native_matches_seq(
     g: &Csr,
     weights: &str,
@@ -309,32 +290,26 @@ fn assert_native_matches_seq(
             pl_every: 3,
         },
     ] {
-        for frontier in [false, true] {
-            let cfg = LpaConfig::default()
-                .with_swap_mode(mode)
-                .with_frontier(frontier);
-            let seq = lpa_seq(g, &cfg);
-            for threads in [1usize, 2, 4, 8] {
-                let r = lpa_native(g, &cfg.with_threads(threads));
-                prop_assert_eq!(
-                    &r.labels,
-                    &seq.labels,
-                    "{} weights: threads={} frontier={} {:?}",
-                    weights,
-                    threads,
-                    frontier,
-                    mode
-                );
-                prop_assert_eq!(
-                    &r.changed_per_iter,
-                    &seq.changed_per_iter,
-                    "{} weights trajectory: threads={} frontier={} {:?}",
-                    weights,
-                    threads,
-                    frontier,
-                    mode
-                );
-            }
+        let cfg = LpaConfig::default().with_swap_mode(mode);
+        let seq = lpa_seq(g, &cfg);
+        for threads in [1usize, 2, 4, 8] {
+            let r = lpa_native(g, &cfg.with_threads(threads));
+            prop_assert_eq!(
+                &r.labels,
+                &seq.labels,
+                "{} weights: threads={} {:?}",
+                weights,
+                threads,
+                mode
+            );
+            prop_assert_eq!(
+                &r.changed_per_iter,
+                &seq.changed_per_iter,
+                "{} weights trajectory: threads={} {:?}",
+                weights,
+                threads,
+                mode
+            );
         }
     }
     Ok(())
