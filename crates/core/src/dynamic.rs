@@ -19,7 +19,7 @@
 use crate::config::LpaConfig;
 use crate::native::lpa_native_from_state;
 use crate::result::LpaResult;
-use nulpa_graph::{Csr, GraphBuilder, VertexId, Weight};
+use nulpa_graph::{Csr, VertexId, Weight};
 
 /// A batch of edge updates to an undirected graph.
 #[derive(Clone, Debug, Default)]
@@ -38,9 +38,38 @@ impl EdgeBatch {
     }
 }
 
-/// Apply a batch to a graph, producing the updated CSR. `O(|E| + |B|)`.
+/// Apply a batch to a graph, producing the updated CSR.
+///
+/// The result is what [`nulpa_graph::GraphBuilder`] would build from the
+/// surviving old edges plus the mirrored insertions: deletions remove
+/// every stored copy of a pre-batch edge (an insertion of the same pair
+/// in the same batch survives), self loops are dropped, and parallel
+/// edges are merged by summing their weights in ascending
+/// `(target, weight bits)` order, so the weights match bit for bit.
+/// Each run of vertices that the batch does not touch and whose adjacency
+/// is already in that form is copied with one slice copy; only the other
+/// vertices are merged. `O(|V| + |E| + |B| log |B|)`, plus a sort of each
+/// touched vertex's adjacency.
+///
+/// # Panics
+/// Panics if an insertion names a vertex `>= |V|` or has a non-finite
+/// weight.
 pub fn apply_batch(g: &Csr, batch: &EdgeBatch) -> Csr {
     let n = g.num_vertices();
+    // Both directions of every insertion, keyed as the builder sorts them.
+    let mut insert: Vec<(VertexId, VertexId, u32)> = Vec::with_capacity(2 * batch.insertions.len());
+    for &(u, v, w) in &batch.insertions {
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge ({u}, {v}) out of range for |V| = {n}"
+        );
+        assert!(w.is_finite(), "edge weight must be finite");
+        if u != v {
+            insert.push((u, v, w.to_bits()));
+            insert.push((v, u, w.to_bits()));
+        }
+    }
+    insert.sort_unstable();
     let mut delete: Vec<(VertexId, VertexId)> = Vec::with_capacity(batch.deletions.len() * 2);
     for &(u, v) in &batch.deletions {
         delete.push((u, v));
@@ -49,18 +78,62 @@ pub fn apply_batch(g: &Csr, batch: &EdgeBatch) -> Csr {
     delete.sort_unstable();
     delete.dedup();
 
-    let mut b = GraphBuilder::new(n).reserve(g.num_edges() + 2 * batch.insertions.len());
-    for u in g.vertices() {
-        for (v, w) in g.neighbors(u) {
-            if delete.binary_search(&(u, v)).is_err() {
-                b.push_edge(u, v, w);
+    let (offsets, targets, weights) = (g.offsets(), g.targets(), g.weights());
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    new_offsets.push(0);
+    let mut new_targets = Vec::with_capacity(targets.len() + insert.len());
+    let mut new_weights = Vec::with_capacity(targets.len() + insert.len());
+    let (mut ins, mut del) = (&insert[..], &delete[..]);
+    let mut merged: Vec<(VertexId, u32)> = Vec::new();
+    // Vertices `run..u` are untouched and in builder form; their slices
+    // are copied in one piece when the run ends.
+    let mut run = 0;
+    for u in 0..n {
+        let (lo, hi) = (offsets[u], offsets[u + 1]);
+        let ts = &targets[lo..hi];
+        let uid = u as VertexId;
+        let (u_ins, rest) = ins.split_at(ins.iter().take_while(|e| e.0 == uid).count());
+        ins = rest;
+        let (u_del, rest) = del.split_at(del.iter().take_while(|e| e.0 == uid).count());
+        del = rest;
+        if u_ins.is_empty()
+            && u_del.is_empty()
+            && ts.windows(2).all(|p| p[0] < p[1])
+            && ts.binary_search(&uid).is_err()
+        {
+            new_offsets.push(new_targets.len() + hi - offsets[run]);
+            continue;
+        }
+        new_targets.extend_from_slice(&targets[offsets[run]..lo]);
+        new_weights.extend_from_slice(&weights[offsets[run]..lo]);
+        run = u + 1;
+
+        // Sort and sum as `GraphBuilder::build` does, so the sums match
+        // bit for bit.
+        merged.clear();
+        merged.extend(
+            ts.iter()
+                .zip(&weights[lo..hi])
+                .filter(|&(&v, _)| v != uid && u_del.binary_search_by_key(&v, |d| d.1).is_err())
+                .map(|(&v, &w)| (v, w.to_bits())),
+        );
+        merged.extend(u_ins.iter().map(|&(_, v, bits)| (v, bits)));
+        merged.sort_unstable();
+        let start = new_targets.len();
+        for &(v, bits) in &merged {
+            let w = Weight::from_bits(bits);
+            if new_targets.len() > start && new_targets.last() == Some(&v) {
+                *new_weights.last_mut().expect("aligned with targets") += w;
+            } else {
+                new_targets.push(v);
+                new_weights.push(w);
             }
         }
+        new_offsets.push(new_targets.len());
     }
-    for &(u, v, w) in &batch.insertions {
-        b.push_undirected(u, v, w);
-    }
-    b.build()
+    new_targets.extend_from_slice(&targets[offsets[run]..]);
+    new_weights.extend_from_slice(&weights[offsets[run]..]);
+    Csr::from_raw(new_offsets, new_targets, new_weights)
 }
 
 /// The Dynamic Frontier seed: endpoints whose local argmax may have
@@ -134,6 +207,40 @@ mod tests {
             deletions: vec![(0, 7)], // no such edge
         };
         assert_eq!(apply_batch(&g, &batch), g);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn apply_batch_rejects_out_of_range_insertion() {
+        let g = caveman_weighted(2, 4, 0.5);
+        let batch = EdgeBatch {
+            insertions: vec![(0, 8, 1.0)],
+            deletions: vec![],
+        };
+        apply_batch(&g, &batch);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn apply_batch_rejects_nan_weight() {
+        let g = caveman_weighted(2, 4, 0.5);
+        let batch = EdgeBatch {
+            insertions: vec![(0, 5, f32::NAN)],
+            deletions: vec![],
+        };
+        apply_batch(&g, &batch);
+    }
+
+    #[test]
+    fn apply_batch_on_a_clone_gives_the_same_graph() {
+        let g = caveman_weighted(3, 5, 0.5);
+        let copy = g.clone();
+        let batch = EdgeBatch {
+            insertions: vec![(0, 7, 2.0), (3, 12, 1.0), (12, 3, 0.5)],
+            deletions: vec![(0, 1), (4, 5)],
+        };
+        assert_eq!(apply_batch(&g, &batch), apply_batch(&copy, &batch));
+        assert_eq!(copy, g);
     }
 
     #[test]

@@ -15,7 +15,8 @@ pub enum DuplicatePolicy {
     /// collapse used by the paper's loaders).
     #[default]
     SumWeights,
-    /// Keep the first weight seen, discard the rest.
+    /// Keep one weight per `(u, v)`, the one with the lowest bit pattern
+    /// (the smallest, for non-negative weights), and discard the rest.
     KeepFirst,
     /// Keep duplicates as parallel edges.
     KeepAll,

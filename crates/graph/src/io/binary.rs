@@ -11,7 +11,7 @@
 //! weights |E| × f32 bit patterns
 //! ```
 
-use super::{parse_err, IoError};
+use super::{check_vertex_count, parse_err, IoError, PREALLOC};
 use crate::csr::Csr;
 use std::io::{Read, Write};
 
@@ -47,13 +47,13 @@ pub fn read_binary<R: Read>(mut input: R) -> Result<Csr, IoError> {
     if version != VERSION {
         return Err(parse_err(0, format!("unsupported version {version}")));
     }
-    let n = read_u64(&mut input)? as usize;
-    let m = read_u64(&mut input)? as usize;
+    let n = usize::try_from(read_u64(&mut input)?).unwrap_or(usize::MAX);
+    check_vertex_count(0, n)?;
+    let m = usize::try_from(read_u64(&mut input)?).unwrap_or(usize::MAX);
 
     // The counts come from the file: preallocate at most PREALLOC
     // entries and grow past that only as bytes actually arrive.
-    const PREALLOC: usize = 1 << 24;
-    let mut offsets = Vec::with_capacity((n + 1).min(PREALLOC));
+    let mut offsets = Vec::with_capacity(n.min(PREALLOC) + 1);
     for _ in 0..=n {
         offsets.push(read_u64(&mut input)? as usize);
     }

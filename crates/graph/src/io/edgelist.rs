@@ -2,7 +2,7 @@
 //! Vertex ids are 0-based. Missing weights default to 1 (unweighted input,
 //! as the paper assumes).
 
-use super::{parse_err, IoError};
+use super::{check_vertex_count, parse_err, IoError};
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
@@ -80,6 +80,7 @@ pub fn read_edge_list<R: BufRead>(
             }
         }
     };
+    check_vertex_count(0, n)?;
     let mut b = GraphBuilder::new(n)
         .reserve(edges.len() * 2)
         .add_edges(edges);

@@ -43,6 +43,22 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// Entries to preallocate at most for a count read from a file; past
+/// this, buffers grow only as data actually arrives.
+pub(crate) const PREALLOC: usize = 1 << 24;
+
+/// `Err` unless `n` vertices fit in `u32` ids with the sentinel to spare
+/// (the limit [`crate::GraphBuilder::new`] asserts).
+pub(crate) fn check_vertex_count(line: usize, n: usize) -> Result<(), IoError> {
+    if n >= u32::MAX as usize {
+        return Err(parse_err(
+            line,
+            format!("|V| = {n} exceeds the u32 vertex-id range"),
+        ));
+    }
+    Ok(())
+}
+
 pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
     IoError::Parse {
         line,

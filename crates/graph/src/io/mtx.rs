@@ -2,7 +2,7 @@
 //! by the paper's dataset loaders. Supports `matrix coordinate
 //! {real,integer,pattern} {general,symmetric}` with 1-based indices.
 
-use super::{parse_err, IoError};
+use super::{check_vertex_count, parse_err, IoError, PREALLOC};
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
@@ -65,12 +65,13 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     if rows != cols {
         return Err(parse_err(szno, "adjacency matrix must be square"));
     }
+    check_vertex_count(szno, rows)?;
 
     // KeepFirst: a `general` file that already stores both (u,v) and (v,u)
     // must not see its weights doubled by our unconditional symmetrization.
     let mut b = GraphBuilder::new(rows)
         .duplicate_policy(crate::builder::DuplicatePolicy::KeepFirst)
-        .reserve(nnz * 2);
+        .reserve(nnz.min(PREALLOC) * 2);
     let mut seen = 0usize;
     for (i, l) in lines {
         let l = l?;

@@ -1,0 +1,272 @@
+//! Malformed input for the three graph readers: truncated files, garbage
+//! headers, oversized counts, non-finite weights, self loops and
+//! duplicate edges. Every case must return `Err` or the reader's
+//! documented normalisation; none may panic.
+
+use nulpa_graph::io::{read_binary, read_edge_list, read_matrix_market, write_binary};
+use nulpa_graph::{gen, Csr};
+use std::io::Cursor;
+
+fn edge_list(txt: &[u8]) -> Result<Csr, String> {
+    read_edge_list(Cursor::new(txt), None, false).map_err(|e| e.to_string())
+}
+
+fn mtx(txt: &[u8]) -> Result<Csr, String> {
+    read_matrix_market(Cursor::new(txt)).map_err(|e| e.to_string())
+}
+
+fn binary(bytes: &[u8]) -> Result<Csr, String> {
+    read_binary(Cursor::new(bytes)).map_err(|e| e.to_string())
+}
+
+fn binary_of(g: &Csr) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_binary(g, &mut buf).unwrap();
+    buf
+}
+
+/// Overwrite the little-endian `u64` at `at`.
+fn poke_u64(buf: &mut [u8], at: usize, v: u64) {
+    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Byte offsets of the binary format's fields (see `io/binary.rs`).
+const N_AT: usize = 12;
+const M_AT: usize = 20;
+const OFFSETS_AT: usize = 28;
+
+#[test]
+fn edge_list_truncated() {
+    for txt in [
+        &b"0 1 2.5\n1"[..],
+        b"0 1 2.5\n1 ",
+        b"0 1 2.5\n1 2 -",
+        b"0 1\n\xe2\x82",
+    ] {
+        let r = edge_list(txt);
+        assert!(r.is_err(), "{:?} accepted", String::from_utf8_lossy(txt));
+    }
+    // a cut that still leaves a complete float is a valid last line
+    let g = edge_list(b"0 1 2.5\n1 2 2.").unwrap();
+    assert_eq!(g.edge_weight(1, 2), Some(2.0));
+}
+
+#[test]
+fn edge_list_garbage_headers() {
+    // a header whose count does not parse is an ordinary comment
+    for header in [
+        "# nu-lpa edge list: lots vertices, 1 edges",
+        "# nu-lpa edge list: -3 vertices, 1 edges",
+        "# nu-lpa edge list: 99999999999999999999999 vertices",
+        "# nu-lpa edge list:",
+        "# nu-lpa edge list: 7 edges",
+    ] {
+        let g = edge_list(format!("{header}\n0 1\n").as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 2, "{header}");
+    }
+    for txt in [&b"\x00\x01garbage\n"[..], b"NULPACSR\n", b"u v w\n0 1 1\n"] {
+        assert!(edge_list(txt).is_err());
+    }
+}
+
+#[test]
+fn edge_list_oversized_counts() {
+    for n in [u64::MAX, 1 << 40, u32::MAX as u64] {
+        let txt = format!("# nu-lpa edge list: {n} vertices, 1 edges\n0 1\n");
+        let err = edge_list(txt.as_bytes()).unwrap_err();
+        assert!(err.contains("u32"), "{err}");
+    }
+    for txt in [
+        &b"0 4294967295\n"[..],
+        b"0 4294967294\n",
+        b"4294967296 0\n",
+        b"0 99999999999999999999999\n",
+    ] {
+        assert!(edge_list(txt).is_err());
+    }
+    let err = read_edge_list(Cursor::new("0 1\n"), Some(usize::MAX), false)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("u32"), "{err}");
+}
+
+#[test]
+fn edge_list_non_finite_weights() {
+    for w in ["NaN", "nan", "inf", "-inf", "infinity", "1e39"] {
+        let err = edge_list(format!("0 1 {w}\n").as_bytes()).unwrap_err();
+        assert!(err.contains("non-finite"), "{w}: {err}");
+    }
+}
+
+#[test]
+fn edge_list_self_loops_dropped_duplicates_summed() {
+    let g = edge_list(b"0 0 1\n0 1 1\n0 1 2\n1 1 4\n").unwrap();
+    assert_eq!(g.num_vertices(), 2);
+    assert_eq!(g.num_self_loops(), 0);
+    assert_eq!(g.edge_weight(0, 1), Some(3.0));
+    let sym = read_edge_list(Cursor::new("0 0 1\n0 1 1\n0 1 2\n"), None, true).unwrap();
+    assert!(sym.is_symmetric());
+    assert_eq!(sym.edge_weight(1, 0), Some(3.0));
+}
+
+const MM_REAL: &str = "%%MatrixMarket matrix coordinate real general";
+
+#[test]
+fn matrix_market_truncated() {
+    for txt in [
+        "".to_string(),
+        format!("{MM_REAL}\n"),
+        format!("{MM_REAL}\n% only comments\n"),
+        format!("{MM_REAL}\n3 3\n"),
+        format!("{MM_REAL}\n3 3 2\n1 2 1.0\n"),
+        format!("{MM_REAL}\n3 3 2\n1 2 1.0\n2 3\n"),
+        format!("{MM_REAL}\n3 3 2\n1 2 1.0\n2\n"),
+    ] {
+        assert!(mtx(txt.as_bytes()).is_err(), "{txt:?} accepted");
+    }
+    let mut cut_utf8 = format!("{MM_REAL}\n3 3 1\n1 2 ").into_bytes();
+    cut_utf8.extend_from_slice(b"\xe2\x82");
+    assert!(mtx(&cut_utf8).is_err());
+}
+
+#[test]
+fn matrix_market_garbage_headers() {
+    for header in [
+        "%%MatrixMarket",
+        "%%MatrixMarket matrix",
+        "%%MatrixMarket matrix coordinate",
+        "%%MatrixMarket matrix coordinate complex general",
+        "%%MatrixMarket matrix coordinate real hermitian",
+        "%%MatrixMarket tensor coordinate real general",
+        "%MatrixMarket matrix coordinate real general",
+        "garbage",
+    ] {
+        assert!(
+            mtx(format!("{header}\n2 2 1\n1 2 1.0\n").as_bytes()).is_err(),
+            "{header}"
+        );
+    }
+    assert!(mtx(b"\xff\xfe\x00binary\n2 2 0\n").is_err());
+    for size in ["x 2 1", "2 x 1", "2 2 x", "-2 -2 1", "2 3 1"] {
+        assert!(
+            mtx(format!("{MM_REAL}\n{size}\n1 2 1.0\n").as_bytes()).is_err(),
+            "{size}"
+        );
+    }
+}
+
+#[test]
+fn matrix_market_oversized_counts() {
+    let max = u64::MAX;
+    let big_v = u32::MAX as u64;
+    for size in [
+        format!("{max} {max} 1"),
+        format!("{big_v} {big_v} 1"),
+        format!("2 2 {max}"),
+        format!("2 2 {}", 1u64 << 40),
+        "99999999999999999999999 99999999999999999999999 1".to_string(),
+    ] {
+        assert!(
+            mtx(format!("{MM_REAL}\n{size}\n1 2 1.0\n").as_bytes()).is_err(),
+            "{size}"
+        );
+    }
+    // an entry index past the declared size
+    assert!(mtx(format!("{MM_REAL}\n2 2 1\n3 1 1.0\n").as_bytes()).is_err());
+    assert!(mtx(format!("{MM_REAL}\n2 2 1\n1 {max} 1.0\n").as_bytes()).is_err());
+}
+
+#[test]
+fn matrix_market_non_finite_weights() {
+    for w in ["nan", "NaN", "inf", "-inf", "1e39"] {
+        let err = mtx(format!("{MM_REAL}\n2 2 1\n1 2 {w}\n").as_bytes()).unwrap_err();
+        assert!(err.contains("non-finite"), "{w}: {err}");
+    }
+}
+
+#[test]
+fn matrix_market_self_loops_dropped_duplicates_keep_one() {
+    let txt = format!("{MM_REAL}\n3 3 4\n1 1 9.0\n1 2 5.0\n1 2 1.0\n2 1 5.0\n");
+    let g = mtx(txt.as_bytes()).unwrap();
+    assert_eq!(g.num_vertices(), 3);
+    assert_eq!(g.num_self_loops(), 0);
+    assert_eq!(g.num_edges(), 2);
+    // `DuplicatePolicy::KeepFirst`: never summed, the lowest weight kept
+    // in both directions
+    assert!(g.is_symmetric());
+    assert_eq!(g.edge_weight(0, 1), Some(1.0));
+}
+
+#[test]
+fn binary_truncated_at_every_length() {
+    let clean = binary_of(&gen::caveman_weighted(2, 3, 0.5));
+    for len in 0..clean.len() {
+        assert!(
+            binary(&clean[..len]).is_err(),
+            "accepted a {len}-byte prefix"
+        );
+    }
+    assert!(binary(&clean).is_ok());
+}
+
+#[test]
+fn binary_garbage_headers() {
+    let clean = binary_of(&gen::caveman_weighted(2, 3, 0.5));
+    for (at, byte) in [(0, b'X'), (7, 0), (8, 2), (11, 0x80)] {
+        let mut buf = clean.clone();
+        buf[at] = byte;
+        assert!(binary(&buf).is_err(), "byte {at} = {byte:#x} accepted");
+    }
+    let garbage: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+    assert!(binary(&garbage).is_err());
+}
+
+#[test]
+fn binary_oversized_counts() {
+    let clean = binary_of(&gen::caveman_weighted(2, 3, 0.5));
+    for (at, claimed) in [
+        (N_AT, u64::MAX),
+        (N_AT, u32::MAX as u64),
+        (M_AT, u64::MAX),
+        (M_AT, 1 << 40),
+    ] {
+        let mut buf = clean.clone();
+        poke_u64(&mut buf, at, claimed);
+        assert!(
+            binary(&buf).is_err(),
+            "count {claimed} at byte {at} accepted"
+        );
+    }
+    // the last offset claims more edges than the arrays hold
+    let mut buf = clean.clone();
+    let n = gen::caveman_weighted(2, 3, 0.5).num_vertices();
+    poke_u64(&mut buf, OFFSETS_AT + 8 * n, u64::MAX);
+    assert!(binary(&buf).is_err());
+}
+
+#[test]
+fn binary_non_finite_weights() {
+    let g = gen::caveman_weighted(2, 3, 0.5);
+    let clean = binary_of(&g);
+    let weights_at = clean.len() - 4 * g.num_edges();
+    for bits in [
+        f32::NAN.to_bits(),
+        f32::INFINITY.to_bits(),
+        f32::NEG_INFINITY.to_bits(),
+    ] {
+        let mut buf = clean.clone();
+        buf[weights_at..weights_at + 4].copy_from_slice(&bits.to_le_bytes());
+        let err = binary(&buf).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+    }
+}
+
+#[test]
+fn binary_keeps_self_loops_and_parallel_edges_verbatim() {
+    // the binary format stores a CSR as-is: no normalisation on read
+    let g = Csr::from_raw(vec![0, 3, 4], vec![0, 1, 1, 0], vec![2.0, 1.0, 0.5, 1.5]);
+    let back = binary(&binary_of(&g)).unwrap();
+    assert_eq!(back, g);
+    assert_eq!(back.num_self_loops(), 1);
+    assert_eq!(back.degree(0), 3);
+}

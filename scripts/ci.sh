@@ -78,6 +78,13 @@ step "perfbench smoke (kmer, --trace 1)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload kmer --seed 1 --seconds 1 --trace 1 > /dev/null
 
+# road-stream is the one workload that replays a chain of 4 batches, so
+# its checks compare t2 with t1 and the timed apply/seed/LPA steps with
+# `lpa_dynamic` over a whole stream.
+step "perfbench smoke (road-stream, --trace 1)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload road-stream --seed 1 --seconds 1 --trace 1 > /dev/null
+
 step "perf gate (cycle-attribution baseline)"
 bash scripts/perf_gate.sh
 
