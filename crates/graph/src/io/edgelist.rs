@@ -1,8 +1,17 @@
 //! Whitespace-separated edge lists: `u v [w]` per line, `#`/`%` comments.
 //! Vertex ids are 0-based. Missing weights default to 1 (unweighted input,
 //! as the paper assumes).
+//!
+//! [`read_edge_list`] scans the input with the line scanner the text
+//! readers share (see [`crate::io`]) and queues each edge straight into
+//! the [`GraphBuilder`], so reading allocates nothing per line. Lines,
+//! fields, numbers and errors are those of `BufRead::lines`,
+//! `str::split_whitespace` and `str::parse`.
 
-use super::{check_vertex_count, parse_err, IoError};
+use super::{
+    check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError, LineScanner,
+    PREALLOC,
+};
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
@@ -10,11 +19,13 @@ use std::io::{BufRead, Write};
 /// Header line [`write_edge_list`] emits ahead of the edges.
 const HEADER_PREFIX: &str = "# nu-lpa edge list:";
 
-/// `N` from a `# nu-lpa edge list: N vertices, M edges` header line.
-fn header_vertices(line: &str) -> Option<usize> {
+/// `N`, and `M` if it parses, from a `# nu-lpa edge list: N vertices, M
+/// edges` header line.
+fn header_counts(line: &str) -> Option<(usize, Option<usize>)> {
     let mut it = line.strip_prefix(HEADER_PREFIX)?.split_whitespace();
     let n = it.next()?.parse().ok()?;
-    it.next()?.starts_with("vertices").then_some(n)
+    it.next()?.starts_with("vertices").then_some(())?;
+    Some((n, it.next().and_then(|m| m.parse().ok())))
 }
 
 /// Read an edge list. `num_vertices` may be larger than the max id seen;
@@ -22,38 +33,52 @@ fn header_vertices(line: &str) -> Option<usize> {
 /// input has one (so trailing isolated vertices survive a round trip),
 /// else to size the graph to `max_id + 1`. Ids ≥ |V| are rejected. When
 /// `symmetrize` is set, missing reverse edges are added (paper's
-/// preprocessing).
+/// preprocessing; see [`GraphBuilder::symmetrize`]).
 pub fn read_edge_list<R: BufRead>(
     reader: R,
     num_vertices: Option<usize>,
     symmetrize: bool,
 ) -> Result<Csr, IoError> {
-    let mut edges: Vec<(VertexId, VertexId, f32)> = Vec::new();
+    let mut lines = LineScanner::new(reader);
+    // |V| is known only at the end; the reader checks ids and weights itself
+    let mut b = GraphBuilder::new(0);
+    let mut edges = 0usize;
     let mut max_id: u64 = 0;
     let mut header_n: Option<usize> = None;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = lineno + 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            if header_n.is_none() {
-                header_n = header_vertices(t);
+    while let Some((lineno, line)) = lines.next_line()? {
+        let mut it = Fields::new(line)?;
+        let first = match it.next() {
+            None => continue,
+            Some([b'#' | b'%', ..]) => {
+                if header_n.is_some() {
+                    continue;
+                }
+                if let Some((n, m)) = header_counts(utf8(line)?.trim()) {
+                    header_n = Some(n);
+                    // Room for 2(N + M) queue entries: three times the
+                    // bytes of the CSR the queue becomes, of which only
+                    // the first M entries are touched. glibc keeps up to
+                    // twice the largest mapping freed as free heap before
+                    // it trims, so freeing this queue keeps a process that
+                    // goes on to hold a few CSR-sized arrays (a copy, a
+                    // dynamic update's output) from trimming its heap and
+                    // page-faulting it in again after every load
+                    // (EXPERIMENTS.md, "Text load").
+                    let room = n.saturating_add(m.unwrap_or(0)).saturating_mul(2);
+                    b = b.reserve(room.min(PREALLOC));
+                }
+                continue;
             }
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let u: u64 = it
-            .next()
-            .unwrap()
-            .parse()
-            .map_err(|_| parse_err(lineno, "bad source vertex"))?;
-        let v: u64 = it
-            .next()
-            .ok_or_else(|| parse_err(lineno, "missing target vertex"))?
-            .parse()
-            .map_err(|_| parse_err(lineno, "bad target vertex"))?;
-        let w: f32 = match it.next() {
-            Some(s) => s.parse().map_err(|_| parse_err(lineno, "bad weight"))?,
+            Some(first) => first,
+        };
+        let u = parse_u64(first).ok_or_else(|| parse_err(lineno, "bad source vertex"))?;
+        let v = parse_u64(
+            it.next()
+                .ok_or_else(|| parse_err(lineno, "missing target vertex"))?,
+        )
+        .ok_or_else(|| parse_err(lineno, "bad target vertex"))?;
+        let w = match it.next() {
+            Some(s) => parse_f32(s).ok_or_else(|| parse_err(lineno, "bad weight"))?,
             None => 1.0,
         };
         if !w.is_finite() {
@@ -63,17 +88,18 @@ pub fn read_edge_list<R: BufRead>(
             return Err(parse_err(lineno, "vertex id exceeds u32 range"));
         }
         max_id = max_id.max(u).max(v);
-        edges.push((u as VertexId, v as VertexId, w));
+        edges += 1;
+        b.push_unchecked(u as VertexId, v as VertexId, w);
     }
     let n = match num_vertices.or(header_n) {
         Some(n) => {
-            if !edges.is_empty() && max_id as usize >= n {
+            if edges > 0 && max_id as usize >= n {
                 return Err(parse_err(0, format!("vertex {max_id} >= |V| = {n}")));
             }
             n
         }
         None => {
-            if edges.is_empty() {
+            if edges == 0 {
                 0
             } else {
                 max_id as usize + 1
@@ -81,9 +107,7 @@ pub fn read_edge_list<R: BufRead>(
         }
     };
     check_vertex_count(0, n)?;
-    let mut b = GraphBuilder::new(n)
-        .reserve(edges.len() * 2)
-        .add_edges(edges);
+    b.set_num_vertices(n);
     if symmetrize {
         b = b.symmetrize();
     }

@@ -2,21 +2,42 @@
 //! by the paper's dataset loaders. Supports `matrix coordinate
 //! {real,integer,pattern} {general,symmetric}` with 1-based indices.
 
-use super::{check_vertex_count, parse_err, IoError, PREALLOC};
+use super::{
+    check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError, LineScanner,
+    PREALLOC,
+};
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
+
+/// A line's fields, or `None` for a blank line or a `%` comment.
+fn data_fields(line: &[u8]) -> std::io::Result<Option<Fields<'_>>> {
+    let it = Fields::new(line)?;
+    Ok(match it.clone().next() {
+        None | Some([b'%', ..]) => None,
+        Some(_) => Some(it),
+    })
+}
+
+/// The next field as an index or count, as `str::parse::<usize>` reads it.
+fn next_usize(it: &mut Fields) -> Option<usize> {
+    usize::try_from(parse_u64(it.next()?)?).ok()
+}
 
 /// Read a MatrixMarket file into a symmetrized graph. `general` matrices
 /// get reverse edges added (the paper's preprocessing for directed webs);
 /// `symmetric` matrices store each off-diagonal entry once and we expand
 /// it to both directions. Diagonal entries (self loops) are dropped.
+/// Lines are scanned as [`read_edge_list`](super::read_edge_list) scans
+/// them, without an allocation per line.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
-    let mut lines = reader.lines().enumerate();
+    let mut lines = LineScanner::new(reader);
 
     // Header
-    let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty file"))?;
-    let header = header?;
+    let (_, header) = lines
+        .next_line()?
+        .ok_or_else(|| parse_err(1, "empty file"))?;
+    let header = utf8(header)?;
     if !header.starts_with("%%MatrixMarket") {
         return Err(parse_err(1, "missing %%MatrixMarket header"));
     }
@@ -38,30 +59,17 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     let pattern = field == "pattern";
 
     // Size line (after comments)
-    let mut size_line = None;
-    for (i, l) in lines.by_ref() {
-        let l = l?;
-        let t = l.trim().to_string();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+    let (szno, mut it) = loop {
+        let (lineno, line) = lines
+            .next_line()?
+            .ok_or_else(|| parse_err(0, "missing size line"))?;
+        if let Some(it) = data_fields(line)? {
+            break (lineno, it);
         }
-        size_line = Some((i + 1, t));
-        break;
-    }
-    let (szno, sz) = size_line.ok_or_else(|| parse_err(0, "missing size line"))?;
-    let mut it = sz.split_whitespace();
-    let rows: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse_err(szno, "bad row count"))?;
-    let cols: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse_err(szno, "bad column count"))?;
-    let nnz: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse_err(szno, "bad nnz count"))?;
+    };
+    let rows = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad row count"))?;
+    let cols = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad column count"))?;
+    let nnz = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad nnz count"))?;
     if rows != cols {
         return Err(parse_err(szno, "adjacency matrix must be square"));
     }
@@ -73,27 +81,17 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
         .duplicate_policy(crate::builder::DuplicatePolicy::KeepFirst)
         .reserve(nnz.min(PREALLOC) * 2);
     let mut seen = 0usize;
-    for (i, l) in lines {
-        let l = l?;
-        let lineno = i + 1;
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('%') {
+    while let Some((lineno, line)) = lines.next_line()? {
+        let Some(mut it) = data_fields(line)? else {
             continue;
-        }
-        let mut it = t.split_whitespace();
-        let u: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(lineno, "bad row index"))?;
-        let v: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(lineno, "bad column index"))?;
-        let w: f32 = if pattern {
+        };
+        let u = next_usize(&mut it).ok_or_else(|| parse_err(lineno, "bad row index"))?;
+        let v = next_usize(&mut it).ok_or_else(|| parse_err(lineno, "bad column index"))?;
+        let w = if pattern {
             1.0
         } else {
             it.next()
-                .and_then(|s| s.parse().ok())
+                .and_then(parse_f32)
                 .ok_or_else(|| parse_err(lineno, "missing value"))?
         };
         if u == 0 || v == 0 || u > rows || v > cols {

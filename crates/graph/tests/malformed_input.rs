@@ -5,10 +5,15 @@
 
 use nulpa_graph::io::{read_binary, read_edge_list, read_matrix_market, write_binary};
 use nulpa_graph::{gen, Csr};
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
 
 fn edge_list(txt: &[u8]) -> Result<Csr, String> {
     read_edge_list(Cursor::new(txt), None, false).map_err(|e| e.to_string())
+}
+
+/// Read through an 8 KiB `BufReader`, so long lines straddle refills.
+fn edge_list_buffered(txt: &[u8]) -> Result<Csr, String> {
+    read_edge_list(BufReader::new(txt), None, false).map_err(|e| e.to_string())
 }
 
 fn mtx(txt: &[u8]) -> Result<Csr, String> {
@@ -109,6 +114,84 @@ fn edge_list_self_loops_dropped_duplicates_summed() {
     assert_eq!(sym.edge_weight(1, 0), Some(3.0));
 }
 
+#[test]
+fn edge_list_crlf_and_missing_final_newline() {
+    // `\r\n` ends a line like `\n`; the last line needs no newline
+    let g = edge_list(b"0 1 2\r\n1 2 3\r\n2 3 4").unwrap();
+    assert_eq!(g.num_vertices(), 4);
+    assert_eq!(g.edge_weight(0, 1), Some(2.0));
+    assert_eq!(g.edge_weight(2, 3), Some(4.0));
+    assert_eq!(edge_list(b"0 1\r\n").unwrap(), edge_list(b"0 1").unwrap());
+}
+
+#[test]
+fn edge_list_signed_and_zero_padded_ids() {
+    // ids read as `str::parse::<u64>` reads them: a `+` sign and leading
+    // zeros are accepted, a `-` sign is not
+    let g = edge_list(b"+1 002\n00 +0003 0000007\n").unwrap();
+    assert_eq!(g.num_vertices(), 4);
+    assert_eq!(g.edge_weight(1, 2), Some(1.0));
+    assert_eq!(g.edge_weight(0, 3), Some(7.0));
+    let err = edge_list(b"0 1\n-1 2\n").unwrap_err();
+    assert!(err.contains("line 2: bad source vertex"), "{err}");
+}
+
+#[test]
+fn edge_list_twenty_digit_ids() {
+    // fits a u64, not a vertex id
+    let err = edge_list(b"0 10000000000000000000\n").unwrap_err();
+    assert!(err.contains("line 1: vertex id exceeds u32 range"), "{err}");
+    // does not fit a u64
+    let err = edge_list(b"0 1\n99999999999999999999 0\n").unwrap_err();
+    assert!(err.contains("line 2: bad source vertex"), "{err}");
+    // 20+ digits that do fit: the id is zero-padded, the weight is 1e20
+    let g = edge_list(b"0 00000000000000000000001 99999999999999999999\n").unwrap();
+    assert_eq!(g.edge_weight(0, 1), Some(1e20));
+}
+
+#[test]
+fn edge_list_unicode_whitespace_separates_fields() {
+    // U+00A0 and U+3000 are whitespace to `str::split_whitespace`
+    let g = edge_list("0\u{a0}1\u{3000}2.5\n\u{a0}1 2\u{a0}\n".as_bytes()).unwrap();
+    assert_eq!(g.edge_weight(0, 1), Some(2.5));
+    assert_eq!(g.edge_weight(1, 2), Some(1.0));
+    // but not a field character: U+2010 (a hyphen) is junk in an id
+    assert!(edge_list("0 \u{2010}1\n".as_bytes()).is_err());
+}
+
+#[test]
+fn edge_list_invalid_utf8_mid_file_and_in_comments() {
+    for txt in [
+        &b"0 1\n1 \xff2\n2 3\n"[..],
+        b"0 1\n# comment \xc3\x28\n2 3\n",
+        b"% \xe2\x82\n0 1\n",
+        b"0 1\n1 2 \xed\xa0\x80\n",
+    ] {
+        let err = edge_list(txt).unwrap_err();
+        assert!(err.contains("valid UTF-8"), "{err}");
+    }
+}
+
+#[test]
+fn edge_list_long_comment_spans_refills() {
+    let mut txt = b"0 1\n# ".to_vec();
+    txt.extend(std::iter::repeat_n(b'c', 20_000));
+    txt.extend_from_slice(b"\n1 2 3\n% ");
+    txt.extend(std::iter::repeat_n(b'd', 9_000));
+    let g = edge_list_buffered(&txt).unwrap();
+    assert_eq!(g.num_vertices(), 3);
+    assert_eq!(g.edge_weight(1, 2), Some(3.0));
+    // the line count survives the long line
+    txt.extend_from_slice(b"\n2 x\n");
+    let err = edge_list_buffered(&txt).unwrap_err();
+    assert!(err.contains("line 5: bad target vertex"), "{err}");
+    // a header after a long comment still counts
+    let mut txt = b"% ".to_vec();
+    txt.extend(std::iter::repeat_n(b'e', 10_000));
+    txt.extend_from_slice(b"\n# nu-lpa edge list: 9 vertices, 1 edges\n0 1\n");
+    assert_eq!(edge_list_buffered(&txt).unwrap().num_vertices(), 9);
+}
+
 const MM_REAL: &str = "%%MatrixMarket matrix coordinate real general";
 
 #[test]
@@ -127,6 +210,44 @@ fn matrix_market_truncated() {
     let mut cut_utf8 = format!("{MM_REAL}\n3 3 1\n1 2 ").into_bytes();
     cut_utf8.extend_from_slice(b"\xe2\x82");
     assert!(mtx(&cut_utf8).is_err());
+}
+
+#[test]
+fn matrix_market_errors_keep_their_line_numbers() {
+    for (txt, want) in [
+        (
+            "%%MatrixMarket matrix coordinate real general\r\n% c\r\n\r\n2 2 x\r\n",
+            "line 4: bad nnz count",
+        ),
+        (
+            &format!("{MM_REAL}\n% c\n2 2 2\n1 2 1.0\n\n% c\n2 x 1.0\n"),
+            "line 7: bad column index",
+        ),
+        (
+            &format!("{MM_REAL}\n2 2 1\n1 3 1.0"),
+            "line 3: index out of range",
+        ),
+        (&format!("{MM_REAL}\n2 2 1\n1 2"), "line 3: missing value"),
+        (
+            &format!("{MM_REAL}\n2 2 2\n1 2 1.0\n"),
+            "line 0: expected 2 entries, found 1",
+        ),
+    ] {
+        let err = mtx(txt.as_bytes()).unwrap_err();
+        assert!(err.contains(want), "{txt:?}: {err}");
+    }
+    // CRLF endings, `+` and zero padding, no final newline
+    let g = mtx(format!("{MM_REAL}\r\n3 3 2\r\n+1 002 2.5\r\n3 2 1").as_bytes()).unwrap();
+    assert_eq!(g.edge_weight(0, 1), Some(2.5));
+    assert_eq!(g.edge_weight(1, 2), Some(1.0));
+}
+
+#[test]
+fn matrix_market_invalid_utf8_in_a_comment() {
+    let mut txt = format!("{MM_REAL}\n% comment ").into_bytes();
+    txt.extend_from_slice(b"\xff\n2 2 0\n");
+    let err = mtx(&txt).unwrap_err();
+    assert!(err.contains("valid UTF-8"), "{err}");
 }
 
 #[test]

@@ -85,6 +85,13 @@ step "perfbench smoke (road-stream, --trace 1)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload road-stream --seed 1 --seconds 1 --trace 1 > /dev/null
 
+# web has the largest text edge list and the heavy-tailed rows; every
+# round checks the CSR loaded through the line scanner and the builder
+# against the binary reference.
+step "perfbench smoke (web, --trace 1)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload web --seed 1 --seconds 1 --trace 1 > /dev/null
+
 step "perf gate (cycle-attribution baseline)"
 bash scripts/perf_gate.sh
 
