@@ -6,7 +6,9 @@
 //! known to oscillate on bipartite-ish structure (the community-swap
 //! pathology affects *every* vertex pair, not just co-resident ones),
 //! which is why the paper observes that "the modularity achieved by
-//! Gunrock LPA is very low". This baseline reproduces that behaviour.
+//! Gunrock LPA is very low". This baseline reproduces that behaviour on
+//! one thread: its `into_par_iter` builds against the sequential
+//! `vendor/rayon` stand-in.
 
 use crate::common::argmax_label;
 use nulpa_graph::{Csr, VertexId};

@@ -13,6 +13,10 @@
 //! Schedule: asynchronous in-place updates, vertex pruning, per-iteration
 //! tolerance 0.05, at most 20 iterations, strict pick (first maximum in
 //! keys-list order = first-encountered neighbour label).
+//!
+//! The port runs on one thread: its `par_iter`/`par_chunks` loops build
+//! against the sequential `vendor/rayon` stand-in, so the chunks run in
+//! order and the scratch pool never holds more than one table.
 
 use nulpa_graph::{Csr, VertexId};
 use parking_lot::Mutex;

@@ -20,6 +20,11 @@
 //! evaluated ([`copra()`](fn@copra), [`slpa()`](fn@slpa), [`labelrank()`](fn@labelrank)), against which plain
 //! LPA "emerged as the most efficient, delivering communities of
 //! comparable quality".
+//!
+//! Every baseline runs on one thread. Those written with `par_*`
+//! iterators build against `vendor/rayon`, a sequential stand-in with
+//! rayon's API, so their "parallel" loops run in order on the calling
+//! thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

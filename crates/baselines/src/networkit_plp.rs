@@ -3,8 +3,10 @@
 //! Reimplementation of `NetworKit::PLP::run()` as the paper describes it
 //! (§2, related work): every vertex starts with a unique label; a boolean
 //! active-flag vector tracks vertices whose neighbourhood changed; each
-//! iteration processes active vertices in parallel (OpenMP *guided*
-//! schedule ≈ Rayon's work-stealing over a shuffled order); per-vertex
+//! iteration processes the active vertices in a shuffled order (NetworKit
+//! runs them in parallel under an OpenMP *guided* schedule; the `par_iter`
+//! here builds against the sequential `vendor/rayon` stand-in, so this
+//! port runs them one after another on one thread); per-vertex
 //! label weights live in an `std::map` (here `BTreeMap` — deliberately,
 //! since the paper's critique of PLP is precisely this allocation-heavy
 //! map); convergence uses the threshold heuristic: stop when fewer than

@@ -98,8 +98,11 @@ impl BenchArgs {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or("--threads needs a positive integer")?;
-                    if t == 0 {
-                        return Err("--threads needs a positive integer".into());
+                    if t == 0 || t > nulpa_core::MAX_THREADS {
+                        return Err(format!(
+                            "--threads needs an integer in 1..={}",
+                            nulpa_core::MAX_THREADS
+                        ));
                     }
                     threads = Some(t);
                 }
@@ -520,6 +523,7 @@ mod tests {
         assert!(BenchArgs::parse_from(strs(&["--threads"])).is_err());
         assert!(BenchArgs::parse_from(strs(&["--threads", "0"])).is_err());
         assert!(BenchArgs::parse_from(strs(&["--threads", "x"])).is_err());
+        assert!(BenchArgs::parse_from(strs(&["--threads", "100000"])).is_err());
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct LpaConfig {
     /// Host threads for the simulator's sharded wave execution. `0` (the
     /// default) resolves to `NULPA_THREADS` when set, else the machine's
     /// available parallelism. Results are bit-for-bit identical at every
-    /// setting; see [`resolve_threads`].
+    /// setting; see [`resolve_threads`]. At most [`MAX_THREADS`].
     pub threads: usize,
 }
 
@@ -144,23 +144,30 @@ impl Default for LpaConfig {
     }
 }
 
+/// Largest host-thread count a run may use. Every host thread beyond the
+/// first is an OS thread with its own O(|V|) scratch, so an unbounded
+/// count would turn a typo into thousands of thread spawns.
+pub const MAX_THREADS: usize = 1024;
+
 /// Resolve a requested host-thread count to an effective one: an explicit
 /// `requested > 0` wins; otherwise the `NULPA_THREADS` environment
-/// variable (when set to a positive integer); otherwise the machine's
-/// available parallelism. Thread count never affects results — only host
+/// variable (when set to an integer in `1..=MAX_THREADS`); otherwise the
+/// machine's available parallelism. The result is clamped to
+/// [`MAX_THREADS`]. Thread count never affects results — only host
 /// wall-clock.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
-        return requested;
+        return requested.min(MAX_THREADS);
     }
     let auto = || {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
+            .min(MAX_THREADS)
     };
     if let Ok(env) = std::env::var("NULPA_THREADS") {
         match env.trim().parse::<usize>() {
-            Ok(t) if t > 0 => return t,
+            Ok(t) if (1..=MAX_THREADS).contains(&t) => return t,
             _ => {
                 let fallback = auto();
                 warn_bad_threads_env(&env, fallback);
@@ -178,7 +185,7 @@ fn warn_bad_threads_env(value: &str, fallback: usize) {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         eprintln!(
-            "warning: NULPA_THREADS={value:?} is not a positive integer; \
+            "warning: NULPA_THREADS={value:?} is not an integer in 1..={MAX_THREADS}; \
              falling back to available parallelism ({fallback})"
         );
     });
@@ -201,6 +208,12 @@ impl LpaConfig {
                 return Err("swap-mitigation periods must be positive".into());
             }
             _ => {}
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "threads {} exceeds the maximum of {MAX_THREADS}",
+                self.threads
+            ));
         }
         if self.frontier && !self.pruning {
             return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
@@ -353,6 +366,25 @@ mod tests {
         let auto = with_threads_env(None, || resolve_threads(0));
         with_threads_env(Some("   "), || assert_eq!(resolve_threads(0), auto));
         with_threads_env(Some(""), || assert_eq!(resolve_threads(0), auto));
+    }
+
+    #[test]
+    fn resolve_threads_env_above_max_falls_back() {
+        let auto = with_threads_env(None, || resolve_threads(0));
+        assert!((1..=MAX_THREADS).contains(&auto));
+        with_threads_env(Some(&MAX_THREADS.to_string()), || {
+            assert_eq!(resolve_threads(0), MAX_THREADS)
+        });
+        with_threads_env(Some("100000"), || assert_eq!(resolve_threads(0), auto));
+    }
+
+    #[test]
+    fn thread_count_is_bounded() {
+        let c = LpaConfig::default();
+        assert!(c.with_threads(MAX_THREADS).validate().is_ok());
+        let err = c.with_threads(MAX_THREADS + 1).validate().unwrap_err();
+        assert!(err.contains("threads"), "{err}");
+        assert_eq!(resolve_threads(100_000), MAX_THREADS);
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl<V: HashValue> Sweep<'_, '_, V> {
 
 /// Start the run's lanes over `labels`/`processed`, hand the lead's
 /// [`Sweep`] to `body`, then stop the workers. Returns `body`'s result and the host profile
-/// (`None` unless `profile` is set and the `hostprof` feature is on).
+/// (`None` unless `profile` is set).
 pub(crate) fn with_lanes<V: HashValue, R>(
     g: &Csr,
     labels: &[AtomicU32],

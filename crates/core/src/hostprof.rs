@@ -16,13 +16,14 @@
 //! * **per-iteration schedule statistics** — blocks, candidates and
 //!   committed moves, plus the lead's commit wall time.
 //!
-//! Everything here is **provably neutral**: with the `hostprof` cargo
-//! feature off the recorder types are zero-sized no-ops, and even with
-//! the feature on nothing is timed or counted until a run is started
-//! through [`crate::lpa_native_hostprof`] — the recorder only observes
-//! which thread did what, never what was computed. Aggregation,
+//! Everything here is **provably neutral**: nothing is timed or counted
+//! until a run is started through [`crate::lpa_native_hostprof`] — the
+//! recorder only observes which thread did what, never what was
+//! computed. Aggregation,
 //! rendering, and the regression gate live in `nulpa-telemetry`'s
 //! `hostprof` module; this side stays plain data.
+
+use std::time::Instant;
 
 /// Human-readable names of the three degree buckets, indexable by the
 /// bucket id used throughout the host profiler.
@@ -190,191 +191,127 @@ impl HostProfData {
     }
 }
 
-#[cfg(feature = "hostprof")]
-pub(crate) use real::{RunProf, ThreadProf};
+// The recorders. Recording is gated on the run-time `enabled` flag (the
+// caller of `count_chunk` checks `enabled()`), so an unprofiled run does
+// no timing and no counting.
 
-#[cfg(not(feature = "hostprof"))]
-pub(crate) use noop::{RunProf, ThreadProf};
+/// Per-thread recorder handed to a sweep lane.
+pub(crate) struct ThreadProf {
+    enabled: bool,
+    t0: Instant,
+    span_start: u64,
+    data: ThreadProfData,
+}
 
-/// The recording implementation (cargo feature `hostprof` on). Every
-/// method is gated on the run-time `enabled` flag so a feature-on but
-/// unprofiled run does no timing and no counting.
-#[cfg(feature = "hostprof")]
-mod real {
-    use super::*;
-    use std::time::Instant;
-
-    /// Per-thread recorder handed to a sweep lane.
-    pub(crate) struct ThreadProf {
-        enabled: bool,
-        t0: Instant,
-        span_start: u64,
-        data: ThreadProfData,
+impl ThreadProf {
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
     }
 
-    impl ThreadProf {
-        #[inline]
-        pub(crate) fn enabled(&self) -> bool {
-            self.enabled
-        }
-
-        /// Open a span (no-op when disabled).
-        #[inline]
-        pub(crate) fn begin_span(&mut self) {
-            if self.enabled {
-                self.span_start = self.t0.elapsed().as_nanos() as u64;
-            }
-        }
-
-        /// Close the span opened by `begin_span`; returns its duration in
-        /// nanoseconds (0 when disabled).
-        #[inline]
-        pub(crate) fn end_span(&mut self, kind: SpanKind, iter: u32, block: u32) -> u64 {
-            if !self.enabled {
-                return 0;
-            }
-            let now = self.t0.elapsed().as_nanos() as u64;
-            let dur = now.saturating_sub(self.span_start);
-            self.data.spans.push(SpanRec {
-                iter,
-                block,
-                kind,
-                start_ns: self.span_start,
-                dur_ns: dur,
-            });
-            self.data.busy_ns += dur;
-            dur
-        }
-
-        /// Attribute one work unit to a bucket.
-        #[inline]
-        pub(crate) fn count_chunk(&mut self, bucket: usize, vertices: u64, edges: u64) {
-            let b = &mut self.data.buckets[bucket];
-            b.vertices += vertices;
-            b.edges += edges;
-            b.chunks += 1;
+    /// Open a span (no-op when disabled).
+    #[inline]
+    pub(crate) fn begin_span(&mut self) {
+        if self.enabled {
+            self.span_start = self.t0.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Run-level recorder owned by the fast-path state.
-    pub(crate) struct RunProf {
-        enabled: bool,
-        t0: Instant,
-        iters: Vec<IterRepairStats>,
+    /// Close the span opened by `begin_span`; returns its duration in
+    /// nanoseconds (0 when disabled).
+    #[inline]
+    pub(crate) fn end_span(&mut self, kind: SpanKind, iter: u32, block: u32) -> u64 {
+        if !self.enabled {
+            return 0;
+        }
+        let now = self.t0.elapsed().as_nanos() as u64;
+        let dur = now.saturating_sub(self.span_start);
+        self.data.spans.push(SpanRec {
+            iter,
+            block,
+            kind,
+            start_ns: self.span_start,
+            dur_ns: dur,
+        });
+        self.data.busy_ns += dur;
+        dur
     }
 
-    impl RunProf {
-        pub(crate) fn new(enabled: bool) -> Self {
-            RunProf {
-                enabled,
-                t0: Instant::now(),
-                iters: Vec::new(),
-            }
-        }
-
-        /// One recorder per thread, all sharing the run's time origin.
-        pub(crate) fn thread_recorders(&self, threads: usize) -> Vec<ThreadProf> {
-            (0..threads)
-                .map(|_| ThreadProf {
-                    enabled: self.enabled,
-                    t0: self.t0,
-                    span_start: 0,
-                    data: ThreadProfData::default(),
-                })
-                .collect()
-        }
-
-        /// Record one iteration's schedule statistics (no-op when
-        /// disabled).
-        pub(crate) fn record_iter(
-            &mut self,
-            iter: u32,
-            blocks: u32,
-            candidates: u64,
-            committed: u64,
-            commit_ns: u64,
-        ) {
-            if self.enabled {
-                self.iters.push(IterRepairStats {
-                    iter,
-                    blocks,
-                    candidates,
-                    repaired: 0,
-                    repair_blocks: 0,
-                    committed,
-                    commit_ns,
-                });
-            }
-        }
-
-        /// Assemble the run's profile; `None` when profiling was off.
-        pub(crate) fn collect(&mut self, threads: &mut [ThreadProf]) -> Option<HostProfData> {
-            if !self.enabled {
-                return None;
-            }
-            Some(HostProfData {
-                threads: threads.len(),
-                wall_ns: self.t0.elapsed().as_nanos() as u64,
-                per_thread: threads
-                    .iter_mut()
-                    .map(|t| std::mem::take(&mut t.data))
-                    .collect(),
-                iters: std::mem::take(&mut self.iters),
-            })
-        }
+    /// Attribute one work unit to a bucket.
+    #[inline]
+    pub(crate) fn count_chunk(&mut self, bucket: usize, vertices: u64, edges: u64) {
+        let b = &mut self.data.buckets[bucket];
+        b.vertices += vertices;
+        b.edges += edges;
+        b.chunks += 1;
     }
 }
 
-/// Zero-sized mirror used when the `hostprof` feature is compiled out:
-/// the API is identical and every recording call vanishes.
-#[cfg(not(feature = "hostprof"))]
-mod noop {
-    use super::*;
+/// Run-level recorder owned by the fast-path state.
+pub(crate) struct RunProf {
+    enabled: bool,
+    t0: Instant,
+    iters: Vec<IterRepairStats>,
+}
 
-    pub(crate) struct ThreadProf;
-
-    impl ThreadProf {
-        #[inline]
-        pub(crate) fn enabled(&self) -> bool {
-            false
+impl RunProf {
+    pub(crate) fn new(enabled: bool) -> Self {
+        RunProf {
+            enabled,
+            t0: Instant::now(),
+            iters: Vec::new(),
         }
-
-        #[inline]
-        pub(crate) fn begin_span(&mut self) {}
-
-        #[inline]
-        pub(crate) fn end_span(&mut self, _kind: SpanKind, _iter: u32, _block: u32) -> u64 {
-            0
-        }
-
-        #[inline]
-        pub(crate) fn count_chunk(&mut self, _bucket: usize, _vertices: u64, _edges: u64) {}
     }
 
-    pub(crate) struct RunProf;
+    /// One recorder per thread, all sharing the run's time origin.
+    pub(crate) fn thread_recorders(&self, threads: usize) -> Vec<ThreadProf> {
+        (0..threads)
+            .map(|_| ThreadProf {
+                enabled: self.enabled,
+                t0: self.t0,
+                span_start: 0,
+                data: ThreadProfData::default(),
+            })
+            .collect()
+    }
 
-    impl RunProf {
-        pub(crate) fn new(_enabled: bool) -> Self {
-            RunProf
+    /// Record one iteration's schedule statistics (no-op when
+    /// disabled).
+    pub(crate) fn record_iter(
+        &mut self,
+        iter: u32,
+        blocks: u32,
+        candidates: u64,
+        committed: u64,
+        commit_ns: u64,
+    ) {
+        if self.enabled {
+            self.iters.push(IterRepairStats {
+                iter,
+                blocks,
+                candidates,
+                repaired: 0,
+                repair_blocks: 0,
+                committed,
+                commit_ns,
+            });
         }
+    }
 
-        pub(crate) fn thread_recorders(&self, threads: usize) -> Vec<ThreadProf> {
-            (0..threads).map(|_| ThreadProf).collect()
+    /// Assemble the run's profile; `None` when profiling was off.
+    pub(crate) fn collect(&mut self, threads: &mut [ThreadProf]) -> Option<HostProfData> {
+        if !self.enabled {
+            return None;
         }
-
-        pub(crate) fn record_iter(
-            &mut self,
-            _iter: u32,
-            _blocks: u32,
-            _candidates: u64,
-            _committed: u64,
-            _commit_ns: u64,
-        ) {
-        }
-
-        pub(crate) fn collect(&mut self, _threads: &mut [ThreadProf]) -> Option<HostProfData> {
-            None
-        }
+        Some(HostProfData {
+            threads: threads.len(),
+            wall_ns: self.t0.elapsed().as_nanos() as u64,
+            per_thread: threads
+                .iter_mut()
+                .map(|t| std::mem::take(&mut t.data))
+                .collect(),
+            iters: std::mem::take(&mut self.iters),
+        })
     }
 }
 

@@ -54,7 +54,7 @@ pub mod seq;
 
 pub use addr::AddrMap;
 pub use coarsen::{coarsen_lpa, CoarseLevel, CoarsenConfig, CoarsenResult};
-pub use config::{resolve_threads, LpaConfig, SwapMode, ValueType};
+pub use config::{resolve_threads, LpaConfig, SwapMode, ValueType, MAX_THREADS};
 pub use dynamic::{apply_batch, frontier, lpa_dynamic, EdgeBatch};
 pub use effects::shipped_effects;
 pub use fastpath::{bucket_partition, BucketThresholds};

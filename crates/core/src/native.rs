@@ -56,8 +56,8 @@ pub fn lpa_native_observed(
 /// and per-iteration schedule statistics (see [`crate::hostprof`]).
 ///
 /// The profiled run is bit-identical to [`lpa_native`] — the recorder
-/// only observes which thread did what, never what was computed. Returns
-/// `None` profile data when the `hostprof` cargo feature is compiled out.
+/// only observes which thread did what, never what was computed. The
+/// profile is always `Some`.
 pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
     let mut prof = None;
     let result = run(

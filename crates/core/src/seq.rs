@@ -35,6 +35,9 @@ pub const SWEEP_BLOCK: usize = 1024;
 /// single label can cascade through the whole graph in one pass, producing
 /// a monster community. A seeded Fisher–Yates shuffle (varied per
 /// iteration) restores the intended behaviour while staying reproducible.
+// `#[inline]` lets the native sweep's per-iteration prologue inline the
+// draw loop whichever codegen unit rustc places this module in.
+#[inline]
 pub(crate) fn shuffle_candidates(candidates: &mut [VertexId], iter: u32) {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;

@@ -47,10 +47,11 @@ pub fn modularity(g: &Csr, labels: &[VertexId]) -> f64 {
         .sum()
 }
 
-/// Parallel version of [`modularity`], used by the harness on the larger
-/// stand-ins. Numerically: per-community sums are formed with the same
-/// pairing, then reduced; results match the sequential version to within
-/// f64 rounding.
+/// [`modularity`] written with rayon iterators, used by the harness on the
+/// larger stand-ins. It builds against the sequential `vendor/rayon`
+/// stand-in, so it runs on one thread. Numerically: per-community sums
+/// are formed with the same pairing, then reduced; results match
+/// [`modularity`] to within f64 rounding.
 pub fn modularity_par(g: &Csr, labels: &[VertexId]) -> f64 {
     let n = g.num_vertices();
     assert_eq!(labels.len(), n, "labels length mismatch");

@@ -5,10 +5,10 @@
 //! *charges* every cycle it reports (see `nulpa-simt`); this crate answers
 //! *where the cycles went*:
 //!
-//! * **Component attribution** — with the `prof` feature, every charge a
+//! * **Component attribution** — every charge a
 //!   [`nulpa_simt::LaneMeter`] makes is tagged at charge time with a
 //!   [`nulpa_simt::Comp`] id (ALU, global near/far, atomic, probe
-//!   near/far, shared, barrier). The per-component totals partition the
+//!   near/far, shared, barrier, frontier compaction). The per-component totals partition the
 //!   lane cycles exactly — no leaked or double-counted charges — which
 //!   [`Profile::verify`] checks bit-for-bit against the untagged
 //!   `KernelStats`.

@@ -81,9 +81,9 @@ impl Width {
 use nulpa_obs::Hist;
 
 /// Cycle-attribution component: where a charged cycle went. Every cycle a
-/// [`LaneMeter`] charges belongs to exactly one component, so (with the
-/// `prof` feature) the per-component totals partition `LaneMeter::cycles`
-/// — the conservation law the profiler's tables rest on.
+/// [`LaneMeter`] charges belongs to exactly one component, so the
+/// per-component totals partition `LaneMeter::cycles` — the conservation
+/// law the profiler's tables rest on.
 ///
 /// Memory charges made inside a hash-probe sequence (between
 /// [`LaneMeter::probe_scope`]`(true)` and `(false)`) are attributed to the
@@ -210,16 +210,13 @@ pub struct LaneMeter {
     /// between two buffers — e.g. `H_k`/`H_v` — look uncached).
     recent_lines: [usize; 4],
     recent_len: u8,
-    /// Per-component attribution of `cycles` (profiling builds only).
-    #[cfg(feature = "prof")]
+    /// Per-component attribution of `cycles`.
     pub comp: CompCycles,
     /// Whether the lane is currently inside a probe sequence (see
     /// [`LaneMeter::probe_scope`]).
-    #[cfg(feature = "prof")]
     in_probe: bool,
     /// Whether the lane is currently inside the frontier-compaction
     /// kernel (see [`LaneMeter::compact_scope`]).
-    #[cfg(feature = "prof")]
     in_compact: bool,
 }
 
@@ -229,74 +226,53 @@ impl LaneMeter {
         Self::default()
     }
 
-    /// Attribute `cycles` to `comp`; compiles away without `prof`.
-    /// Inside a compact scope every charge belongs to
-    /// [`Comp::FrontierCompact`] instead.
+    /// Attribute `cycles` to `comp`. Inside a compact scope every charge
+    /// belongs to [`Comp::FrontierCompact`] instead.
     #[inline]
     pub(crate) fn tag(&mut self, comp: Comp, cycles: u64) {
-        #[cfg(feature = "prof")]
-        {
-            let comp = if self.in_compact {
-                Comp::FrontierCompact
-            } else {
-                comp
-            };
-            self.comp.add(comp, cycles);
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = (comp, cycles);
+        let comp = if self.in_compact {
+            Comp::FrontierCompact
+        } else {
+            comp
+        };
+        self.comp.add(comp, cycles);
     }
 
     /// Attribute a plain memory charge, picking the near/far and
     /// global/probe component from the hit flag and the probe scope.
     #[inline]
     fn tag_mem(&mut self, near: bool, cycles: u64) {
-        #[cfg(feature = "prof")]
-        {
-            let comp = if self.in_compact {
-                Comp::FrontierCompact
-            } else {
-                match (self.in_probe, near) {
-                    (false, true) => Comp::GlobalNear,
-                    (false, false) => Comp::GlobalFar,
-                    (true, true) => Comp::ProbeNear,
-                    (true, false) => Comp::ProbeFar,
-                }
-            };
-            self.comp.add(comp, cycles);
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = (near, cycles);
+        let comp = if self.in_compact {
+            Comp::FrontierCompact
+        } else {
+            match (self.in_probe, near) {
+                (false, true) => Comp::GlobalNear,
+                (false, false) => Comp::GlobalFar,
+                (true, true) => Comp::ProbeNear,
+                (true, false) => Comp::ProbeFar,
+            }
+        };
+        self.comp.add(comp, cycles);
     }
 
     /// Mark the start (`true`) / end (`false`) of a hash-probe sequence.
     /// While set, plain global charges are attributed to
     /// [`Comp::ProbeNear`]/[`Comp::ProbeFar`] instead of the global
     /// components. Called by the hashtable layer around its probe loops;
-    /// a no-op (and cost-free) without the `prof` feature.
+    /// cost-free in simulated cycles.
     #[inline]
     pub fn probe_scope(&mut self, on: bool) {
-        #[cfg(feature = "prof")]
-        {
-            self.in_probe = on;
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = on;
+        self.in_probe = on;
     }
 
     /// Mark the start (`true`) / end (`false`) of the frontier-compaction
     /// kernel. While set, *every* charge (memory, ALU, atomic, shared,
     /// barrier) is attributed to [`Comp::FrontierCompact`], so the cost of
     /// building the sparse active set is a separate line in the profiler's
-    /// tables. A no-op (and cost-free) without the `prof` feature.
+    /// tables. Cost-free in simulated cycles.
     #[inline]
     pub fn compact_scope(&mut self, on: bool) {
-        #[cfg(feature = "prof")]
-        {
-            self.in_compact = on;
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = on;
+        self.in_compact = on;
     }
 
     /// Charge `n` ALU operations.
@@ -400,7 +376,6 @@ impl LaneMeter {
         self.atomics += other.atomics;
         self.global_reads += other.global_reads;
         self.global_writes += other.global_writes;
-        #[cfg(feature = "prof")]
         self.comp.merge(&other.comp);
     }
 }
@@ -506,97 +481,92 @@ mod tests {
         assert_eq!(m.cycles, c.global_far + 2 * c.global_near);
     }
 
-    #[cfg(feature = "prof")]
-    mod prof {
-        use super::*;
+    #[test]
+    fn components_partition_cycles() {
+        let c = CostModel::default_gpu();
+        let mut m = LaneMeter::new();
+        m.alu(&c, 3);
+        m.global_read(&c, 0, Width::W32); // far
+        m.global_read(&c, 1, Width::W32); // near
+        m.atomic(&c, 5000, Width::W64);
+        m.shared(&c, Width::W32);
+        m.probe_scope(true);
+        m.global_read(&c, 9000, Width::W32); // probe far
+        m.global_read(&c, 9001, Width::W32); // probe near
+        m.probe_scope(false);
+        m.global_write(&c, 9002, Width::W32); // back to plain global (near)
+        assert_eq!(m.comp.total(), m.cycles);
+        assert_eq!(m.comp.get(Comp::Alu), 3 * c.alu);
+        assert_eq!(m.comp.get(Comp::GlobalFar), c.global_far);
+        assert_eq!(m.comp.get(Comp::GlobalNear), 2 * c.global_near);
+        assert_eq!(
+            m.comp.get(Comp::Atomic),
+            2 * (c.global_far + c.atomic_extra)
+        );
+        assert_eq!(m.comp.get(Comp::Shared), c.shared);
+        assert_eq!(m.comp.get(Comp::ProbeFar), c.global_far);
+        assert_eq!(m.comp.get(Comp::ProbeNear), c.global_near);
+        assert_eq!(m.comp.get(Comp::Barrier), 0);
+    }
 
-        #[test]
-        fn components_partition_cycles() {
-            let c = CostModel::default_gpu();
-            let mut m = LaneMeter::new();
-            m.alu(&c, 3);
-            m.global_read(&c, 0, Width::W32); // far
-            m.global_read(&c, 1, Width::W32); // near
-            m.atomic(&c, 5000, Width::W64);
-            m.shared(&c, Width::W32);
-            m.probe_scope(true);
-            m.global_read(&c, 9000, Width::W32); // probe far
-            m.global_read(&c, 9001, Width::W32); // probe near
-            m.probe_scope(false);
-            m.global_write(&c, 9002, Width::W32); // back to plain global (near)
-            assert_eq!(m.comp.total(), m.cycles);
-            assert_eq!(m.comp.get(Comp::Alu), 3 * c.alu);
-            assert_eq!(m.comp.get(Comp::GlobalFar), c.global_far);
-            assert_eq!(m.comp.get(Comp::GlobalNear), 2 * c.global_near);
-            assert_eq!(
-                m.comp.get(Comp::Atomic),
-                2 * (c.global_far + c.atomic_extra)
-            );
-            assert_eq!(m.comp.get(Comp::Shared), c.shared);
-            assert_eq!(m.comp.get(Comp::ProbeFar), c.global_far);
-            assert_eq!(m.comp.get(Comp::ProbeNear), c.global_near);
-            assert_eq!(m.comp.get(Comp::Barrier), 0);
-        }
+    #[test]
+    fn atomic_in_probe_scope_stays_atomic() {
+        let c = CostModel::default_gpu();
+        let mut m = LaneMeter::new();
+        m.probe_scope(true);
+        m.atomic(&c, 0, Width::W32);
+        m.probe_scope(false);
+        assert_eq!(m.comp.get(Comp::Atomic), m.cycles);
+        assert_eq!(m.comp.get(Comp::ProbeFar), 0);
+    }
 
-        #[test]
-        fn atomic_in_probe_scope_stays_atomic() {
-            let c = CostModel::default_gpu();
-            let mut m = LaneMeter::new();
-            m.probe_scope(true);
-            m.atomic(&c, 0, Width::W32);
-            m.probe_scope(false);
-            assert_eq!(m.comp.get(Comp::Atomic), m.cycles);
-            assert_eq!(m.comp.get(Comp::ProbeFar), 0);
-        }
+    #[test]
+    fn compact_scope_reroutes_every_charge() {
+        let c = CostModel::default_gpu();
+        let mut m = LaneMeter::new();
+        m.compact_scope(true);
+        m.global_read(&c, 0, Width::W32);
+        m.alu(&c, 3);
+        m.atomic(&c, 5000, Width::W32);
+        m.probe_scope(true); // compact wins over probe scope
+        m.global_read(&c, 9000, Width::W32);
+        m.probe_scope(false);
+        m.compact_scope(false);
+        m.alu(&c, 1); // outside the scope again
+        assert_eq!(m.comp.get(Comp::FrontierCompact), m.cycles - c.alu);
+        assert_eq!(m.comp.get(Comp::Alu), c.alu);
+        assert_eq!(m.comp.total(), m.cycles);
+    }
 
-        #[test]
-        fn compact_scope_reroutes_every_charge() {
-            let c = CostModel::default_gpu();
-            let mut m = LaneMeter::new();
-            m.compact_scope(true);
-            m.global_read(&c, 0, Width::W32);
-            m.alu(&c, 3);
-            m.atomic(&c, 5000, Width::W32);
-            m.probe_scope(true); // compact wins over probe scope
-            m.global_read(&c, 9000, Width::W32);
-            m.probe_scope(false);
-            m.compact_scope(false);
-            m.alu(&c, 1); // outside the scope again
-            assert_eq!(m.comp.get(Comp::FrontierCompact), m.cycles - c.alu);
-            assert_eq!(m.comp.get(Comp::Alu), c.alu);
-            assert_eq!(m.comp.total(), m.cycles);
-        }
+    #[test]
+    fn absorb_merges_components() {
+        let c = CostModel::default_gpu();
+        let mut a = LaneMeter::new();
+        a.alu(&c, 2);
+        let mut b = LaneMeter::new();
+        b.shared(&c, Width::W64);
+        a.absorb(&b);
+        assert_eq!(a.comp.get(Comp::Alu), 2 * c.alu);
+        assert_eq!(a.comp.get(Comp::Shared), 2 * c.shared);
+        assert_eq!(a.comp.total(), a.cycles);
+    }
 
-        #[test]
-        fn absorb_merges_components() {
-            let c = CostModel::default_gpu();
-            let mut a = LaneMeter::new();
-            a.alu(&c, 2);
-            let mut b = LaneMeter::new();
-            b.shared(&c, Width::W64);
-            a.absorb(&b);
-            assert_eq!(a.comp.get(Comp::Alu), 2 * c.alu);
-            assert_eq!(a.comp.get(Comp::Shared), 2 * c.shared);
-            assert_eq!(a.comp.total(), a.cycles);
-        }
-
-        #[test]
-        fn comp_cycles_merge_and_labels() {
-            let mut x = CompCycles::new();
-            x.add(Comp::Alu, 5);
-            let mut y = CompCycles::new();
-            y.add(Comp::Alu, 2);
-            y.add(Comp::Barrier, 7);
-            x.merge(&y);
-            assert_eq!(x.get(Comp::Alu), 7);
-            assert_eq!(x.total(), 14);
-            let labels: Vec<&str> = Comp::all().iter().map(|c| c.label()).collect();
-            assert_eq!(labels.len(), NUM_COMPS);
-            // labels are unique and stable (JSON/metrics schema)
-            let mut dedup = labels.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), NUM_COMPS);
-        }
+    #[test]
+    fn comp_cycles_merge_and_labels() {
+        let mut x = CompCycles::new();
+        x.add(Comp::Alu, 5);
+        let mut y = CompCycles::new();
+        y.add(Comp::Alu, 2);
+        y.add(Comp::Barrier, 7);
+        x.merge(&y);
+        assert_eq!(x.get(Comp::Alu), 7);
+        assert_eq!(x.total(), 14);
+        let labels: Vec<&str> = Comp::all().iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), NUM_COMPS);
+        // labels are unique and stable (JSON/metrics schema)
+        let mut dedup = labels.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), NUM_COMPS);
     }
 }

@@ -1,8 +1,6 @@
 //! Aggregated kernel statistics.
 
-#[cfg(feature = "prof")]
-use crate::cost::CompCycles;
-use crate::cost::LaneMeter;
+use crate::cost::{CompCycles, LaneMeter};
 use nulpa_obs::Hist;
 
 /// Statistics for one kernel launch (or a sum over launches).
@@ -50,10 +48,9 @@ pub struct KernelStats {
     /// path charged by the occupancy-degraded throughput term of
     /// `wave_duration`. Ledger: `sim_cycles = Σ critical + stall`.
     pub stall_cycles: u64,
-    /// Per-component attribution of `lane_cycles` (profiling builds):
-    /// tagged at charge time by [`LaneMeter`], so `comp.total()` equals
-    /// `lane_cycles` exactly — the profiler's conservation law.
-    #[cfg(feature = "prof")]
+    /// Per-component attribution of `lane_cycles`, tagged at charge time
+    /// by [`LaneMeter`], so `comp.total()` equals `lane_cycles` exactly —
+    /// the profiler's conservation law.
     pub comp: CompCycles,
 }
 
@@ -79,7 +76,6 @@ impl KernelStats {
         self.warp_cost_hist.merge(&other.warp_cost_hist);
         self.imbalance_cycles += other.imbalance_cycles;
         self.stall_cycles += other.stall_cycles;
-        #[cfg(feature = "prof")]
         self.comp.merge(&other.comp);
     }
 
@@ -96,7 +92,6 @@ impl KernelStats {
             self.global_reads += l.global_reads;
             self.global_writes += l.global_writes;
             self.threads += 1;
-            #[cfg(feature = "prof")]
             self.comp.merge(&l.comp);
         }
         if !lanes.is_empty() {

@@ -14,7 +14,7 @@
 //! `AtomicU32`/[`crate::atomics::AtomicF32`] cells are immediate, as on
 //! hardware.
 
-use crate::cost::{CostModel, LaneMeter};
+use crate::cost::{Comp, CostModel, LaneMeter};
 use crate::device::DeviceConfig;
 use crate::stats::KernelStats;
 use nulpa_obs::{track, NullSink, TraceSink, Value};
@@ -649,34 +649,30 @@ impl WaveScheduler {
         if !stats.warp_cost_hist.is_empty() {
             sink.histogram("warp_cost", &stats.warp_cost_hist);
         }
-        #[cfg(feature = "prof")]
-        {
-            use crate::cost::Comp;
-            let c = &stats.comp;
-            sink.metrics(
-                "kernel",
-                t0 + stats.sim_cycles,
-                &[
-                    ("sim_cycles", stats.sim_cycles),
-                    ("lane_cycles", stats.lane_cycles),
-                    ("idle_cycles", stats.idle_cycles),
-                    ("imbalance_cycles", stats.imbalance_cycles),
-                    ("stall_cycles", stats.stall_cycles),
-                    ("waves", stats.waves),
-                    ("threads", stats.threads),
-                    ("probes", stats.probes),
-                    ("alu", c.get(Comp::Alu)),
-                    ("global_near", c.get(Comp::GlobalNear)),
-                    ("global_far", c.get(Comp::GlobalFar)),
-                    ("atomic", c.get(Comp::Atomic)),
-                    ("probe_near", c.get(Comp::ProbeNear)),
-                    ("probe_far", c.get(Comp::ProbeFar)),
-                    ("shared", c.get(Comp::Shared)),
-                    ("barrier", c.get(Comp::Barrier)),
-                    ("frontier_compact", c.get(Comp::FrontierCompact)),
-                ],
-            );
-        }
+        let c = &stats.comp;
+        sink.metrics(
+            "kernel",
+            t0 + stats.sim_cycles,
+            &[
+                ("sim_cycles", stats.sim_cycles),
+                ("lane_cycles", stats.lane_cycles),
+                ("idle_cycles", stats.idle_cycles),
+                ("imbalance_cycles", stats.imbalance_cycles),
+                ("stall_cycles", stats.stall_cycles),
+                ("waves", stats.waves),
+                ("threads", stats.threads),
+                ("probes", stats.probes),
+                ("alu", c.get(Comp::Alu)),
+                ("global_near", c.get(Comp::GlobalNear)),
+                ("global_far", c.get(Comp::GlobalFar)),
+                ("atomic", c.get(Comp::Atomic)),
+                ("probe_near", c.get(Comp::ProbeNear)),
+                ("probe_far", c.get(Comp::ProbeFar)),
+                ("shared", c.get(Comp::Shared)),
+                ("barrier", c.get(Comp::Barrier)),
+                ("frontier_compact", c.get(Comp::FrontierCompact)),
+            ],
+        );
     }
 
     /// Duration of one wave under a latency/throughput/occupancy model.
@@ -774,7 +770,6 @@ impl WaveSnapshot {
                 ("divergence", Value::F64(divergence)),
             ],
         );
-        #[cfg(feature = "prof")]
         sink.metrics(
             "wave",
             wave_t0,

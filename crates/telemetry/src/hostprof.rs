@@ -17,9 +17,8 @@
 //! * [`record_registry`] mirrors the headline numbers into the global
 //!   metrics [`Registry`] so Prometheus/JSONL snapshots carry them.
 //!
-//! Everything here consumes plain data — it compiles and tests
-//! identically whether or not the `hostprof` cargo feature (which gates
-//! only the *recorder* inside `nulpa-core`) is enabled.
+//! Everything here consumes the plain data the recorder inside
+//! `nulpa-core` collects.
 
 use crate::registry::{global, Registry};
 use nulpa_core::{BucketCounters, HostProfData, IterRepairStats, SpanKind, BUCKET_NAMES};

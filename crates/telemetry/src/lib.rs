@@ -36,8 +36,9 @@
 //!
 //! Telemetry is strictly opt-in at run time: nothing observes an LPA run
 //! until a [`ConvergenceRecorder`] is attached or a [`PhaseSpan`] opened,
-//! so untelemetered runs — including the golden-trace tests — are
-//! byte-identical with the feature compiled in.
+//! so untelemetered runs — including the golden-trace tests — produce
+//! byte-identical output whether or not telemetry is used elsewhere in
+//! the process.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,7 +33,6 @@ use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
 use nu_lpa::graph::Csr;
 use nu_lpa::metrics::{community_count, cut_fraction, imbalance, modularity_par};
-#[cfg(feature = "telemetry")]
 use nu_lpa::obs::gate::{self, Gate, Row, Rule};
 use nu_lpa::obs::{summary, ChromeTraceSink, Hist, JsonlSink, NullSink, TraceSink, Value};
 use std::io::{BufReader, BufWriter, Write};
@@ -42,7 +41,6 @@ use std::time::Instant;
 
 // Meter the heap: every `nulpa` allocation goes through the counting
 // shim so `stats`/`--telemetry` can report peak/current heap bytes.
-#[cfg(feature = "telemetry")]
 nu_lpa::telemetry::install_counting_alloc!();
 
 fn main() -> ExitCode {
@@ -266,14 +264,6 @@ fn print_graph_stats(g: &Csr) {
     println!("symmetric:    {}", g.is_symmetric());
 }
 
-#[cfg(not(feature = "telemetry"))]
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("stats: missing graph path")?;
-    let g = load_graph(path)?;
-    print_graph_stats(&g);
-    Ok(())
-}
-
 /// `nulpa stats`: the convergence observatory. With a graph argument,
 /// print its statistics and then run the telemetered backend matrix over
 /// it; without one, use the built-in trio. Every run records wall-clock
@@ -282,7 +272,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// modularity). `--history` appends run records to the JSONL ledger,
 /// `--write-baseline`/`--check` drive the quality gate, `--telemetry`
 /// dumps the metrics registry (`.prom` or JSONL).
-#[cfg(feature = "telemetry")]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
     use nu_lpa::obs::meta::run_meta;
@@ -407,7 +396,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// `--write-baseline FILE` writes `rows` as a `gate-v1` baseline;
 /// `--check FILE` prints `gate`'s verdict table against that baseline
 /// and fails on any regression.
-#[cfg(feature = "telemetry")]
 fn write_or_check_baseline(
     args: &[String],
     gate: &Gate,
@@ -428,14 +416,12 @@ fn write_or_check_baseline(
 }
 
 /// One telemetered backend run: result, trajectory, final modularity.
-#[cfg(feature = "telemetry")]
 struct ObservedRun {
     result: nu_lpa::core::LpaResult,
     samples: Vec<nu_lpa::telemetry::IterationSample>,
     final_q: f64,
 }
 
-#[cfg(feature = "telemetry")]
 fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, String> {
     use nu_lpa::core::{lpa_gpu_observed, lpa_native_observed, lpa_seq_observed};
     use nu_lpa::telemetry::ConvergenceRecorder;
@@ -465,7 +451,6 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
 
 /// Human-readable rendering of one run record: summary line, phase
 /// breakdown, memory footprint, and the convergence trajectory table.
-#[cfg(feature = "telemetry")]
 fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
     println!(
         "backend {}: {} iterations ({}), {} communities, Q = {:.4}, {:.2} ms",
@@ -533,7 +518,6 @@ fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
 /// relative drop over 1% fails. Wall-clock and peak heap may grow 10%,
 /// and only gate above 250 ms / 16 MiB: below those floors the built-in
 /// trio measures scheduler noise, not the algorithm.
-#[cfg(feature = "telemetry")]
 const QUALITY_GATE: Gate = Gate {
     name: "quality",
     rules: &[
@@ -544,7 +528,6 @@ const QUALITY_GATE: Gate = Gate {
 };
 
 /// A run record's quality-gate row, keyed `graph/backend`.
-#[cfg(feature = "telemetry")]
 fn quality_row(r: &nu_lpa::telemetry::RunRecord) -> Row {
     let row = Row::new(format!("{}/{}", r.graph, r.backend))
         .with("modularity", r.modularity)
@@ -558,20 +541,10 @@ fn quality_row(r: &nu_lpa::telemetry::RunRecord) -> Row {
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("detect: missing graph path")?;
     let telemetry_path = opt_value(args, "--telemetry");
-    #[cfg(not(feature = "telemetry"))]
-    if telemetry_path.is_some() {
-        return Err(
-            "--telemetry: this binary was built without the `telemetry` feature \
-                    (rebuild with default features)"
-                .into(),
-        );
-    }
     // Phase spans are opened only when telemetry output was requested —
     // untelemetered runs stay observation-free.
-    #[cfg(feature = "telemetry")]
     let load_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("load"));
     let g = load_graph(path)?;
-    #[cfg(feature = "telemetry")]
     if let Some(span) = load_span {
         span.finish();
     }
@@ -607,16 +580,19 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     let mut file_sink = trace_path.map(FileSink::create).transpose()?;
     let mut null = NullSink;
 
-    #[cfg(feature = "telemetry")]
     let iterate_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
     let t0 = Instant::now();
-    let labels: Vec<u32> = {
+    // The iteration count is reported for the ν-LPA backends only.
+    let (labels, iterations): (Vec<u32>, Option<u32>) = {
         let sink: &mut dyn TraceSink = match file_sink.as_mut() {
             Some(s) => s,
             None => &mut null,
         };
         match method {
-            "nu-lpa" => lpa_native_traced(&g, &cfg, sink).labels,
+            "nu-lpa" => {
+                let r = lpa_native_traced(&g, &cfg, sink);
+                (r.labels, Some(r.iterations))
+            }
             "nu-lpa-sim" => {
                 let r = lpa_gpu_traced(&g, &cfg, sink);
                 eprintln!(
@@ -626,19 +602,18 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
                     100.0 * r.stats.divergence_ratio(),
                     r.stats.probes
                 );
-                r.labels
+                (r.labels, Some(r.iterations))
             }
-            "flpa" => flpa(&g, 1).labels,
-            "networkit" => networkit_plp(&g, &PlpConfig::default()).labels,
-            "gunrock" => gunrock_lp(&g, &GunrockConfig::default()).labels,
-            "louvain" => louvain(&g, &LouvainConfig::default()).labels,
-            "leiden" => leiden(&g, &LeidenConfig::default()).labels,
-            "gve-lpa" => gve_lpa(&g, &GveLpaConfig::default()).labels,
+            "flpa" => (flpa(&g, 1).labels, None),
+            "networkit" => (networkit_plp(&g, &PlpConfig::default()).labels, None),
+            "gunrock" => (gunrock_lp(&g, &GunrockConfig::default()).labels, None),
+            "louvain" => (louvain(&g, &LouvainConfig::default()).labels, None),
+            "leiden" => (leiden(&g, &LeidenConfig::default()).labels, None),
+            "gve-lpa" => (gve_lpa(&g, &GveLpaConfig::default()).labels, None),
             other => return Err(format!("unknown method `{other}`")),
         }
     };
     let elapsed = t0.elapsed();
-    #[cfg(feature = "telemetry")]
     if let Some(span) = iterate_span {
         span.finish();
     }
@@ -646,17 +621,17 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         s.close(tp)?;
         eprintln!("trace written to {tp}");
     }
-    #[cfg(feature = "telemetry")]
     if let Some(tp) = telemetry_path {
         nu_lpa::telemetry::write_snapshot(tp, &nu_lpa::telemetry::global().snapshot())?;
         eprintln!("telemetry snapshot written to {tp}");
     }
 
+    let iters = iterations
+        .map(|it| format!(" ({it} iterations)"))
+        .unwrap_or_default();
     eprintln!(
-        "{} communities in {:.2?} ({:.1} M edges/s)",
-        community_count(&labels),
-        elapsed,
-        g.num_edges() as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6
+        "{} communities in {elapsed:.2?}{iters}",
+        community_count(&labels)
     );
     if quality {
         eprintln!("modularity Q = {:.4}", modularity_par(&g, &labels));
@@ -903,7 +878,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// imbalance. `--trace` writes a
 /// Chrome/Perfetto trace of the last run's thread timelines;
 /// `--write-baseline`/`--check` drive the hostprof regression gate.
-#[cfg(feature = "telemetry")]
 fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::lpa_native_hostprof;
     use nu_lpa::obs::meta::{meta_json, run_meta};
@@ -924,13 +898,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
         for &threads in THREAD_LADDER {
             let cfg = LpaConfig::default().with_threads(threads);
             let (_result, prof) = lpa_native_hostprof(g, &cfg);
-            let Some(data) = prof else {
-                return Err(
-                    "profile --host: instrumentation compiled out (rebuild with the \
-                     default `telemetry` feature, which enables nulpa-core/hostprof)"
-                        .into(),
-                );
-            };
+            let data = prof.expect("lpa_native_hostprof always returns a profile");
             let report = hp::summarize(gname, &data);
             hp::record_registry(&report);
             reports.push(report);
@@ -970,23 +938,12 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     write_or_check_baseline(args, &hp::GATE, &meta, &rows)
 }
 
-/// Stub when host telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-fn cmd_profile_host(_args: &[String]) -> Result<(), String> {
-    Err(
-        "profile --host: this binary was built without the `telemetry` feature \
-         (rebuild with default features)"
-            .into(),
-    )
-}
-
 /// `nulpa profile` (without `--host`): run the simulated-GPU backend
 /// matrix under the cycle-attribution profiler and print per-kernel
 /// component breakdowns, a roofline summary and the per-SM occupancy
 /// timeline. Without a graph argument the built-in trio is profiled;
 /// `--backend NAME` restricts the backend matrix; `--json` prints the
 /// machine-readable report.
-#[cfg(feature = "prof")]
 fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
     use nu_lpa::obs::meta::run_meta;
@@ -1017,10 +974,8 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     let mut leaked = 0usize;
     for (gname, g) in &graphs {
         for spec in &specs {
-            #[cfg(feature = "telemetry")]
             let span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
             let gp = profile_graph(gname, g, spec);
-            #[cfg(feature = "telemetry")]
             if let Some(span) = span {
                 span.finish();
             }
@@ -1050,20 +1005,11 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
         ]);
         println!("{}", report_to_json(&meta, &profiles));
     }
-    #[cfg(feature = "telemetry")]
     if let Some(tp) = telemetry_path {
         nu_lpa::telemetry::write_snapshot(tp, &nu_lpa::telemetry::global().snapshot())?;
         if !json {
             eprintln!("telemetry snapshot written to {tp}");
         }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if telemetry_path.is_some() {
-        return Err(
-            "--telemetry: this binary was built without the `telemetry` feature \
-                    (rebuild with default features)"
-                .into(),
-        );
     }
     if leaked > 0 {
         return Err(format!(
@@ -1074,20 +1020,11 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when the simulated-cycle profiler is compiled out.
-#[cfg(not(feature = "prof"))]
-fn cmd_profile_sim(_args: &[String]) -> Result<(), String> {
-    Err("profile: this binary was built without the `prof` feature \
-         (rebuild with default features)"
-        .into())
-}
-
 /// `nulpa sancheck`: run the shipped backends under the dynamic hazard
 /// checker (shadow-memory wave-race/invariant detection) and fail with a
 /// non-zero exit if any hazard is reported. Without a graph argument a
 /// built-in suite of small generated graphs is used; `--json` prints one
 /// machine-readable report object per run.
-#[cfg(feature = "sancheck")]
 fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::{lpa_gpu, SwapMode};
     use nu_lpa::metrics::check_labels;
@@ -1200,21 +1137,10 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when the checker is compiled out.
-#[cfg(not(feature = "sancheck"))]
-fn cmd_sancheck(_args: &[String]) -> Result<(), String> {
-    Err(
-        "sancheck: this binary was built without the `sancheck` feature \
-         (rebuild with default features)"
-            .into(),
-    )
-}
-
 /// `nulpa check [--json] [--inject] [--root DIR]` — run the static
 /// kernel effect verifier and the workspace invariant linter. Exits
 /// non-zero on any finding; `--inject` adds the fault-injection
 /// descriptors (the gate must then fail — that is its self-test).
-#[cfg(feature = "check")]
 fn cmd_check(args: &[String]) -> Result<(), String> {
     use nu_lpa::check::{register_injected, run_check};
 
@@ -1247,7 +1173,6 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
 /// Locate the workspace root by walking up from the current directory
 /// until a `Cargo.toml` containing a `[workspace]` table is found.
-#[cfg(feature = "check")]
 fn workspace_root() -> Result<std::path::PathBuf, String> {
     let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
     loop {
@@ -1265,12 +1190,4 @@ fn workspace_root() -> Result<std::path::PathBuf, String> {
             );
         }
     }
-}
-
-/// Stub when the static checker is compiled out.
-#[cfg(not(feature = "check"))]
-fn cmd_check(_args: &[String]) -> Result<(), String> {
-    Err("check: this binary was built without the `check` feature \
-         (rebuild with default features)"
-        .into())
 }

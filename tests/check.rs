@@ -8,8 +8,6 @@
 //! hazard checker also comes out clean on the built-in graph trio, for
 //! every kernel the effect system describes.
 
-#![cfg(feature = "check")]
-
 use nu_lpa::check::{run_check, FindingKind};
 use nu_lpa::obs::json;
 use std::path::Path;
@@ -104,7 +102,6 @@ fn json_report_carries_findings_under_injection() {
 /// look at the same kernels, the static verdict must never be *weaker*
 /// than the dynamic one. (The reverse is allowed — sancheck sees only
 /// one schedule; the solver quantifies over all of them.)
-#[cfg(feature = "sancheck")]
 #[test]
 fn static_clean_implies_sancheck_clean_on_the_trio() {
     use nu_lpa::core::{lpa_gpu, LpaConfig, SwapMode};

@@ -111,6 +111,22 @@ fn detect_frontier_only_on_the_simulator() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 6);
 }
 
+/// A thread count above `MAX_THREADS` is a config error (exit 2), caught
+/// before any thread is spawned.
+#[test]
+fn detect_rejects_an_unbounded_thread_count() {
+    let path = tmp("threads.txt");
+    std::fs::write(&path, two_cliques_edge_list()).unwrap();
+    let out = Command::new(BIN)
+        .args(["detect", path.to_str().unwrap(), "--threads", "100000"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("exceeds the maximum"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
 #[test]
 fn detect_reads_stdin() {
     let mut child = Command::new(BIN)
@@ -304,7 +320,6 @@ fn inspect_reports_top_communities() {
 /// `stats --write-baseline` → `stats --check` round-trips clean, and the
 /// gate demonstrably fails when the baseline claims 2% more modularity
 /// than the backends deliver (an injected quality regression).
-#[cfg(feature = "telemetry")]
 #[test]
 fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
     let base = tmp("gate-baseline.json");
@@ -364,7 +379,6 @@ fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
 
 /// `profile --host --write-baseline` → `--check` passes, and a baseline
 /// whose iteration counts are bumped fails naming `iterations`.
-#[cfg(feature = "telemetry")]
 #[test]
 fn host_gate_passes_clean_and_fails_injected_regression() {
     let base = tmp("host-gate-baseline.json");
@@ -407,7 +421,6 @@ fn host_gate_passes_clean_and_fails_injected_regression() {
 }
 
 /// `stats --json` emits one parseable object with per-run trajectories.
-#[cfg(feature = "telemetry")]
 #[test]
 fn stats_json_reports_all_backends() {
     let out = Command::new(BIN)

@@ -5,11 +5,10 @@
 //! run's `LpaResult` is bit-identical to the unprofiled run's on every
 //! field, across thread counts (the recorder only times and counts what
 //! each lane does).
-//! **Integrity**: when the recorder is compiled in (`telemetry` default
-//! feature → `nulpa-core/hostprof`), the collected data must account
-//! for exactly the work the run did — every candidate attributed to a
-//! bucket, one compute and one commit span per block on every thread,
-//! and schedule statistics that are identical at any thread count.
+//! **Integrity**: the collected data must account for exactly the work
+//! the run did — every candidate attributed to a bucket, one compute
+//! and one commit span per block on every thread, and schedule
+//! statistics that are identical at any thread count.
 
 use nu_lpa::core::{lpa_native, lpa_native_hostprof, LpaConfig, LpaResult};
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
@@ -56,10 +55,8 @@ fn profiled_run_is_bit_identical_to_unprofiled() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod data {
-    //! Integrity of the collected data (needs the recorder compiled in,
-    //! which the default `telemetry` feature provides transitively).
+    //! Integrity of the collected data.
 
     use super::*;
     use nu_lpa::core::HostProfData;
@@ -67,7 +64,7 @@ mod data {
     fn profile(g: &Csr, threads: usize) -> HostProfData {
         let cfg = LpaConfig::default().with_threads(threads);
         let (_, prof) = lpa_native_hostprof(g, &cfg);
-        prof.expect("hostprof feature is on")
+        prof.expect("profiled run returns a profile")
     }
 
     #[test]

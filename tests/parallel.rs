@@ -169,7 +169,6 @@ fn trace_streams_are_identical_across_thread_counts() {
 /// and (b) still produce the single-threaded answer — the scheduler falls
 /// back to serial execution while a checker is installed so that hook
 /// callbacks arrive in deterministic lane order.
-#[cfg(feature = "sancheck")]
 #[test]
 fn parallel_config_is_sancheck_neutral() {
     use nu_lpa::sancheck::{install, uninstall, CheckerConfig};

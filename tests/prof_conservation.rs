@@ -7,8 +7,6 @@
 //! This is the tentpole invariant of the attribution layer: every charge
 //! site tags exactly one component for exactly the cycles it charges.
 
-#![cfg(feature = "prof")]
-
 use nu_lpa::core::{lpa_gpu_traced, LpaConfig, SwapMode};
 use nu_lpa::graph::gen::{caveman_weighted, two_cliques_light_bridge};
 use nu_lpa::hashtab::ProbeStrategy;

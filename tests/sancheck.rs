@@ -7,8 +7,6 @@
 //! binary serialises on one lock. Shipped backends must come out clean,
 //! and an installed checker must never change what a backend computes.
 
-#![cfg(feature = "sancheck")]
-
 use nu_lpa::baselines::{gunrock_lp, GunrockConfig};
 use nu_lpa::core::{lpa_gpu, lpa_native, LpaConfig, SwapMode};
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};

@@ -10,8 +10,6 @@
 //! scrambled vertex order, native scans hashtable slots, the simulator
 //! buffers label visibility per wave).
 
-#![cfg(feature = "telemetry")]
-
 use nu_lpa::core::{
     lpa_gpu, lpa_gpu_observed, lpa_native, lpa_native_observed, lpa_seq, lpa_seq_observed,
     LpaConfig, LpaResult, NullObserver,
