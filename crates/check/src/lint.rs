@@ -4,12 +4,12 @@
 //! `#[cfg(test)]` modules and `tests/` trees are exempt):
 //!
 //! 1. **Launch registration** — outside `crates/simt` (which defines the
-//!    launchers), every `.launch_*` call must use a `_traced` variant
-//!    whose first argument is a string literal naming a kernel with a
-//!    registered [`Effects`](nulpa_simt::effects::Effects) descriptor.
-//!    The untraced convenience wrappers are fine in tests but banned in
-//!    production code: a launch the effect system cannot see is a launch
-//!    the solver cannot vouch for.
+//!    launchers), the first argument of every `.launch_*` call must be a
+//!    string literal naming a kernel with a registered
+//!    [`Effects`](nulpa_simt::effects::Effects) descriptor: a launch the
+//!    effect system cannot see is a launch the solver cannot vouch for.
+//!    Every launcher takes a kernel name and a trace sink, so the
+//!    signature itself keeps a launch traced.
 //! 2. **Staging confinement** — `.stage(` / `.flush_shards(` only inside
 //!    `crates/simt` (the staging machinery itself) or the kernel module
 //!    `crates/core/src/gpu.rs`. Staged writes flushed outside a kernel's
@@ -204,20 +204,6 @@ fn lint_launch_sites(file: &SourceFile, registry: &EffectsRegistry, report: &mut
             continue; // a mention, not a call
         }
         let method = &file.prod[name_start..i];
-        if !method.ends_with("_traced") {
-            report.push(lint_file_finding(
-                FindingKind::UnregisteredKernel,
-                file,
-                pos,
-                method,
-                format!(
-                    "untraced `{method}` launch in production code: use the `_traced` \
-                     variant with a registered kernel name so the effect verifier can \
-                     see this launch"
-                ),
-            ));
-            continue;
-        }
         // First argument must be a string literal; masking keeps the
         // quote delimiters, so read the value out of the original text.
         let mut j = i + 1;
@@ -451,11 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn untraced_launch_outside_simt_is_flagged() {
-        let dir = scratch("untraced");
+    fn computed_kernel_name_outside_simt_is_flagged() {
+        let dir = scratch("computed");
         fs::write(
             dir.join("crates/fake/src/lib.rs"),
-            "fn go(s: &S) { s.launch_thread_per_item(&[], |_, _| {}, |_| {}); }",
+            "fn go(s: &S, name: &str) { s.launch_thread_per_item(name, 0, t, &[], m, k, w); }",
         )
         .unwrap();
         let rep = run(&dir);
@@ -463,6 +449,7 @@ mod tests {
         let f = rep.of_kind(FindingKind::UnregisteredKernel).next().unwrap();
         assert_eq!(f.kernel, "crates/fake/src/lib.rs");
         assert!(f.addr.ends_with(":1"), "addr was {}", f.addr);
+        assert!(f.detail.contains("not a string literal"), "{}", f.detail);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -471,7 +458,7 @@ mod tests {
         let dir = scratch("names");
         fs::write(
             dir.join("crates/fake/src/lib.rs"),
-            "fn go(s: &S) {\n    s.launch_thread_per_item_traced(\"kernel:mystery\", 0, t, &[], k, w);\n    s.launch_thread_per_item_traced(\"kernel:thread\", 0, t, &[], k, w);\n}",
+            "fn go(s: &S) {\n    s.launch_thread_per_item(\"kernel:mystery\", 0, t, &[], m, k, w);\n    s.launch_thread_per_item(\"kernel:thread\", 0, t, &[], m, k, w);\n}",
         )
         .unwrap();
         let rep = run(&dir);
@@ -487,7 +474,7 @@ mod tests {
         let dir = scratch("testmod");
         fs::write(
             dir.join("crates/fake/src/lib.rs"),
-            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(s: &S) { s.launch_thread_per_item(&[], |_, _| {}, |_| {}); }\n}",
+            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(s: &S, name: &str) { s.launch_thread_per_item(name, 0, t, &[], m, k, w); }\n}",
         )
         .unwrap();
         let rep = run(&dir);

@@ -25,8 +25,8 @@
 //! # Host parallelism
 //!
 //! Lanes of a wave are independent by construction (reads see wave-start
-//! state, writes are staged), so the kernels run through the scheduler's
-//! *sharded* launches: each lane stages its writes into a per-host-thread
+//! state, writes are staged), so the scheduler may run a wave's lanes on
+//! several host threads: each lane stages its writes into a per-host-thread
 //! `LaneShard`, and the shards are merged in deterministic lane order at
 //! the wave boundary. Labels, `KernelStats`, collision counts, and trace
 //! output are bit-for-bit identical at every thread count; see
@@ -327,7 +327,7 @@ fn lpa_gpu_typed<V: HashValue>(
         // inside the scope lands in the dedicated `frontier_compact`
         // attribution component.
         if frontier {
-            let st_compact = sched.launch_thread_per_item_sharded_traced(
+            let st_compact = sched.launch_thread_per_item(
                 "kernel:compact",
                 stats.sim_cycles,
                 sink,
@@ -351,7 +351,7 @@ fn lpa_gpu_typed<V: HashValue>(
         state.changed.store(0, Ordering::Relaxed);
 
         // --- thread-per-vertex kernel (low-degree) --------------------
-        let st_low = low_sched.launch_thread_per_item_sharded_traced(
+        let st_low = low_sched.launch_thread_per_item(
             "kernel:thread",
             stats.sim_cycles,
             sink,
@@ -373,7 +373,7 @@ fn lpa_gpu_typed<V: HashValue>(
         stats.add(&st_low);
 
         // --- block-per-vertex kernel (high-degree) --------------------
-        let st_high = sched.launch_block_per_item_sharded_traced(
+        let st_high = sched.launch_block_per_item(
             "kernel:block",
             stats.sim_cycles,
             sink,
@@ -395,9 +395,9 @@ fn lpa_gpu_typed<V: HashValue>(
         stats.add(&st_high);
 
         // --- Cross-Check pass (separate kernel; immediate writes) -----
-        // Stays on the serial launch path deliberately: its atomic
-        // reverts are immediately visible and later lanes read labels a
-        // previous lane may have reverted, so lane order is
+        // Runs on one host thread (`with_threads(1)`) deliberately: its
+        // atomic reverts are immediately visible and later lanes read
+        // labels a previous lane may have reverted, so lane order is
         // semantics-bearing here (unlike the staged main kernels). The
         // pass touches only the few changed vertices — not worth
         // parallelising at the cost of the determinism argument.
@@ -431,12 +431,13 @@ fn lpa_gpu_typed<V: HashValue>(
                     &[("changed_vertices", changed_vertices.len().into())],
                 );
             }
-            let st_cc = sched.launch_thread_per_item_traced(
+            let st_cc = sched.with_threads(1).launch_thread_per_item(
                 "kernel:cross_check",
                 t_cc,
                 sink,
                 &changed_vertices,
-                |v, lane| {
+                || (),
+                |v, lane, _| {
                     let cost = &config.cost;
                     let c = state.labels.get(v as usize);
                     lane.global_read(cost, addr.labels + v as usize, Width::W32);
@@ -460,7 +461,7 @@ fn lpa_gpu_typed<V: HashValue>(
                                 });
                     }
                 },
-                |_| {},
+                |_, _| {},
             );
             stats.add(&st_cc);
             if sink.is_enabled() {

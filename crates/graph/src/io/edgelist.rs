@@ -9,8 +9,8 @@
 //! `str::split_whitespace` and `str::parse`.
 
 use super::{
-    check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError, LineScanner,
-    PREALLOC,
+    check_claimed_vertex_count, check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields,
+    IoError, LineScanner, PREALLOC,
 };
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
@@ -31,7 +31,8 @@ fn header_counts(line: &str) -> Option<(usize, Option<usize>)> {
 /// Read an edge list. `num_vertices` may be larger than the max id seen;
 /// pass `None` to take |V| from the [`write_edge_list`] header when the
 /// input has one (so trailing isolated vertices survive a round trip),
-/// else to size the graph to `max_id + 1`. Ids ≥ |V| are rejected. When
+/// else to size the graph to `max_id + 1`. A header claiming more than
+/// 2^28 vertices is rejected. Ids ≥ |V| are rejected. When
 /// `symmetrize` is set, missing reverse edges are added (paper's
 /// preprocessing; see [`GraphBuilder::symmetrize`]).
 pub fn read_edge_list<R: BufRead>(
@@ -44,17 +45,18 @@ pub fn read_edge_list<R: BufRead>(
     let mut b = GraphBuilder::new(0);
     let mut edges = 0usize;
     let mut max_id: u64 = 0;
-    let mut header_n: Option<usize> = None;
+    // |V| claimed by the header, and the header's line number
+    let mut header: Option<(usize, usize)> = None;
     while let Some((lineno, line)) = lines.next_line()? {
         let mut it = Fields::new(line)?;
         let first = match it.next() {
             None => continue,
             Some([b'#' | b'%', ..]) => {
-                if header_n.is_some() {
+                if header.is_some() {
                     continue;
                 }
                 if let Some((n, m)) = header_counts(utf8(line)?.trim()) {
-                    header_n = Some(n);
+                    header = Some((n, lineno));
                     // Room for 2(N + M) queue entries: three times the
                     // bytes of the CSR the queue becomes, of which only
                     // the first M entries are touched. glibc keeps up to
@@ -91,7 +93,10 @@ pub fn read_edge_list<R: BufRead>(
         edges += 1;
         b.push_unchecked(u as VertexId, v as VertexId, w);
     }
-    let n = match num_vertices.or(header_n) {
+    if let (None, Some((n, lineno))) = (num_vertices, header) {
+        check_claimed_vertex_count(lineno, n)?;
+    }
+    let n = match num_vertices.or(header.map(|(n, _)| n)) {
         Some(n) => {
             if edges > 0 && max_id as usize >= n {
                 return Err(parse_err(0, format!("vertex {max_id} >= |V| = {n}")));

@@ -67,6 +67,24 @@ pub(crate) fn check_vertex_count(line: usize, n: usize) -> Result<(), IoError> {
     Ok(())
 }
 
+/// Most vertices a text header or size line is trusted to claim. The
+/// builder zero-fills and prefix-sums a |V|-sized offsets array, so an
+/// unbounded claim would let a one-edge file allocate gigabytes.
+pub(crate) const MAX_CLAIMED_VERTICES: usize = 1 << 28;
+
+/// [`check_vertex_count`] for a count claimed by the header or size line
+/// at `line`, which must also stay within [`MAX_CLAIMED_VERTICES`].
+pub(crate) fn check_claimed_vertex_count(line: usize, n: usize) -> Result<(), IoError> {
+    check_vertex_count(line, n)?;
+    if n > MAX_CLAIMED_VERTICES {
+        return Err(parse_err(
+            line,
+            format!("|V| = {n} exceeds the {MAX_CLAIMED_VERTICES} vertices a header may claim"),
+        ));
+    }
+    Ok(())
+}
+
 /// The lines of a `BufRead`, split as `BufRead::lines` splits them (a
 /// trailing `\n` or `\r\n` removed, a last line without `\n` kept) but
 /// borrowed instead of allocated. A line that lies whole in the reader's

@@ -3,8 +3,8 @@
 //! {real,integer,pattern} {general,symmetric}` with 1-based indices.
 
 use super::{
-    check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError, LineScanner,
-    PREALLOC,
+    check_claimed_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError,
+    LineScanner, PREALLOC,
 };
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
@@ -27,9 +27,10 @@ fn next_usize(it: &mut Fields) -> Option<usize> {
 /// Read a MatrixMarket file into a symmetrized graph. `general` matrices
 /// get reverse edges added (the paper's preprocessing for directed webs);
 /// `symmetric` matrices store each off-diagonal entry once and we expand
-/// it to both directions. Diagonal entries (self loops) are dropped.
-/// Lines are scanned as [`read_edge_list`](super::read_edge_list) scans
-/// them, without an allocation per line.
+/// it to both directions. Diagonal entries (self loops) are dropped. A
+/// size line claiming more than 2^28 rows is rejected. Lines are scanned
+/// as [`read_edge_list`](super::read_edge_list) scans them, without an
+/// allocation per line.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     let mut lines = LineScanner::new(reader);
 
@@ -73,7 +74,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     if rows != cols {
         return Err(parse_err(szno, "adjacency matrix must be square"));
     }
-    check_vertex_count(szno, rows)?;
+    check_claimed_vertex_count(szno, rows)?;
 
     // KeepFirst: a `general` file that already stores both (u,v) and (v,u)
     // must not see its weights doubled by our unconditional symmetrization.

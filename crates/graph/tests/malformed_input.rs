@@ -81,6 +81,14 @@ fn edge_list_oversized_counts() {
         let err = edge_list(txt.as_bytes()).unwrap_err();
         assert!(err.contains("u32"), "{err}");
     }
+    // in the u32 range, but more than a header is trusted to claim: an
+    // error naming the header line, not a |V|-sized allocation
+    for n in [u32::MAX as u64 - 1, 1 << 29] {
+        let txt = format!("# comment\n# nu-lpa edge list: {n} vertices, 1 edges\n0 1\n");
+        let err = edge_list(txt.as_bytes()).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("header may claim"), "{err}");
+    }
     for txt in [
         &b"0 4294967295\n"[..],
         b"0 4294967294\n",
@@ -283,6 +291,8 @@ fn matrix_market_oversized_counts() {
     for size in [
         format!("{max} {max} 1"),
         format!("{big_v} {big_v} 1"),
+        format!("{} {} 1", big_v - 1, big_v - 1),
+        format!("{} {} 1", 1u64 << 29, 1u64 << 29),
         format!("2 2 {max}"),
         format!("2 2 {}", 1u64 << 40),
         "99999999999999999999999 99999999999999999999999 1".to_string(),
@@ -292,6 +302,10 @@ fn matrix_market_oversized_counts() {
             "{size}"
         );
     }
+    // a size line past the claim bound is named in the error
+    let err = mtx(format!("{MM_REAL}\n{0} {0} 1\n1 2 1.0\n", big_v - 1).as_bytes()).unwrap_err();
+    assert!(err.contains("line 2"), "{err}");
+    assert!(err.contains("header may claim"), "{err}");
     // an entry index past the declared size
     assert!(mtx(format!("{MM_REAL}\n2 2 1\n3 1 1.0\n").as_bytes()).is_err());
     assert!(mtx(format!("{MM_REAL}\n2 2 1\n1 {max} 1.0\n").as_bytes()).is_err());

@@ -265,9 +265,10 @@ pub enum ProbeBound {
 /// Launch flavour of a kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelFlavor {
-    /// One lane per item (`launch_thread_per_item*`).
+    /// One lane per item ([`crate::WaveScheduler::launch_thread_per_item`]).
     ThreadPerItem,
-    /// One cooperative block per item (`launch_block_per_item*`).
+    /// One cooperative block per item
+    /// ([`crate::WaveScheduler::launch_block_per_item`]).
     BlockPerItem,
 }
 

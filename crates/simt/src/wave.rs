@@ -4,25 +4,26 @@
 //! one time — on the A100 preset, 108 SMs × 2048 threads. The paper's
 //! community-swap pathology (§4.1) arises because co-resident symmetric
 //! vertices read each other's *pre-wave* labels; pair this scheduler with
-//! [`crate::deferred::DeferredStore`] and that visibility rule holds
+//! [`crate::deferred::SyncDeferredStore`] and that visibility rule holds
 //! exactly: the `wave_end` callback is the flush point.
 //!
-//! The simulator executes lanes serially (deterministically) while
-//! *modelling* parallel lockstep timing: each lane meters its own cost,
-//! a warp costs the max of its lanes, a wave the max of its warps, and the
-//! kernel the sum of its waves. Atomics performed by kernels against real
+//! The simulator executes lanes deterministically — in lane order, on one
+//! host thread or in contiguous chunks on several — while *modelling*
+//! parallel lockstep timing: each lane meters its own cost, a warp costs
+//! the max of its lanes, a wave the max of its warps, and the kernel the
+//! sum of its waves. Atomics performed by kernels against real
 //! `AtomicU32`/[`crate::atomics::AtomicF32`] cells are immediate, as on
 //! hardware.
 
 use crate::cost::{Comp, CostModel, LaneMeter};
 use crate::device::DeviceConfig;
 use crate::stats::KernelStats;
-use nulpa_obs::{track, NullSink, TraceSink, Value};
+use nulpa_obs::{track, TraceSink, Value};
 #[cfg(feature = "sancheck")]
 use nulpa_sancheck::hooks;
 
-/// `true` while a sancheck checker is installed (sharded launches fall
-/// back to serial execution so hook order stays deterministic).
+/// `true` while a sancheck checker is installed (waves then run on the
+/// calling thread so hook order stays deterministic).
 #[inline]
 fn checker_active() -> bool {
     #[cfg(feature = "sancheck")]
@@ -55,32 +56,31 @@ fn hook_block_ctx(block_idx: usize) {
     let _ = block_idx;
 }
 
-/// Run `work` over contiguous `chunk_len`-sized chunks of `items`, one
-/// scoped host thread per chunk, and return the results in chunk order.
-/// A worker panic is re-raised on the calling thread.
-fn run_chunks<T, R, W>(items: &[T], chunk_len: usize, work: W) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    W: Fn(&[T]) -> R + Sync,
-{
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || work(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
-/// Minimum lanes per host-thread chunk in a sharded thread-per-item wave;
-/// waves smaller than `2 × this` stay on one host thread (spawn cost would
+/// Minimum lanes per host-thread chunk in a thread-per-item wave; waves
+/// smaller than `2 × this` stay on one host thread (spawn cost would
 /// dominate the lane work).
 const MIN_LANES_PER_CHUNK: usize = 16;
+
+/// What one launched item retires into the wave fold: its lane's meter
+/// (thread-per-item) or its block's lane meters (block-per-item).
+trait Retired: Send + Sized {
+    /// A wave's lanes in the groups whose slowest warp bounds the wave's
+    /// critical path: a thread wave is one group, a block wave one group
+    /// per block.
+    fn groups(wave: &[Self]) -> impl Iterator<Item = &[LaneMeter]>;
+}
+
+impl Retired for LaneMeter {
+    fn groups(wave: &[Self]) -> impl Iterator<Item = &[LaneMeter]> {
+        std::iter::once(wave)
+    }
+}
+
+impl Retired for Vec<LaneMeter> {
+    fn groups(wave: &[Self]) -> impl Iterator<Item = &[LaneMeter]> {
+        wave.iter().map(Vec::as_slice)
+    }
+}
 
 /// Lockstep kernel launcher for a fixed device.
 #[derive(Clone, Copy, Debug)]
@@ -89,9 +89,9 @@ pub struct WaveScheduler {
     pub device: DeviceConfig,
     /// Cost model charged to lanes.
     pub cost: CostModel,
-    /// Host threads the sharded launches may use (1 = serial). The
-    /// classic `launch_*_per_item` entry points ignore this and always
-    /// run serially; only the `*_sharded` variants parallelise.
+    /// Host threads a launch may run each wave on (1 = the calling thread
+    /// only). Results are bit-identical at every count; see
+    /// [`Self::launch_thread_per_item`].
     pub threads: usize,
 }
 
@@ -106,8 +106,8 @@ impl WaveScheduler {
         }
     }
 
-    /// Builder-style setter for the host-thread count used by the sharded
-    /// launches (clamped to at least 1).
+    /// Builder-style setter for the host-thread count a launch may use
+    /// (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -116,237 +116,143 @@ impl WaveScheduler {
     /// Thread-per-item launch: one lane per item (the paper's
     /// thread-per-vertex kernel for low-degree vertices).
     ///
-    /// `kernel(item, lane)` is invoked once per item; `wave_end(wave_idx)`
-    /// fires after all items of a wave ran — flush deferred stores there.
-    pub fn launch_thread_per_item<T, F, G>(
+    /// `kernel(item, lane, shard)` runs once per item; `wave_end(wave,
+    /// shards)` fires after every item of a wave ran, with the wave's
+    /// shards in lane order — flush staged writes there. The launch emits
+    /// a kernel span named `name` starting at simulated cycle `t0`, one
+    /// span per wave (warp-cost max/sum and divergence in the args), and
+    /// the launch's probe-length and warp-cost histograms into `sink`.
+    ///
+    /// A wave may run on up to [`Self::threads`] host threads, with
+    /// results bit-for-bit identical at every count. Lanes within a wave
+    /// are independent by construction — reads see wave-start state,
+    /// writes are staged — so the only ordering that can leak into
+    /// results is the order in which staged writes are merged. The launch
+    /// pins that order: each wave is split into **contiguous** chunks of
+    /// lanes, each chunk runs in lane order on one host thread against
+    /// its own shard `S` (created by `make_shard`), and `wave_end`
+    /// receives the shards **in chunk order**, which equals lane order.
+    /// Concatenating the shards' staged writes therefore reproduces the
+    /// one-thread staging order exactly. Per-lane meters are likewise
+    /// collected in lane order and folded into warps on the calling
+    /// thread, so `KernelStats` and trace spans are unchanged too.
+    ///
+    /// A wave runs inline as one chunk when `threads <= 1`, when a
+    /// `sancheck` checker is installed (its shadow state tracks one lane
+    /// at a time and hooks would interleave nondeterministically across
+    /// host threads), or when it is too small to split. A kernel whose
+    /// lane order is part of its result (immediate writes) launches
+    /// through `with_threads(1)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch_thread_per_item<T, S, M, F, G>(
         &self,
+        name: &str,
+        t0: u64,
+        sink: &mut dyn TraceSink,
         items: &[T],
+        make_shard: M,
         kernel: F,
         wave_end: G,
     ) -> KernelStats
     where
-        T: Copy,
-        F: FnMut(T, &mut LaneMeter),
-        G: FnMut(u64),
+        T: Copy + Sync,
+        S: Send,
+        M: Fn() -> S + Sync,
+        F: Fn(T, &mut LaneMeter, &mut S) + Sync,
+        G: FnMut(u64, &mut [S]),
     {
-        self.launch_thread_per_item_traced(
-            "kernel:thread",
-            0,
-            &mut NullSink,
+        let warp = self.device.warp_size;
+        self.run_waves(
+            name,
+            t0,
+            sink,
             items,
-            kernel,
+            self.device.resident_threads(),
+            MIN_LANES_PER_CHUNK,
+            make_shard,
+            |i, it, shard| {
+                hook_lane_ctx(i, warp);
+                let mut m = LaneMeter::new();
+                kernel(it, &mut m, shard);
+                m
+            },
             wave_end,
         )
     }
 
-    /// [`Self::launch_thread_per_item`] with tracing: emits a kernel span
-    /// named `name` starting at simulated cycle `t0`, one span per wave
-    /// (warp-cost max/sum and divergence in the args), and the launch's
-    /// probe-length and warp-cost histograms into `sink`.
-    pub fn launch_thread_per_item_traced<T, F, G>(
-        &self,
-        name: &str,
-        t0: u64,
-        sink: &mut dyn TraceSink,
-        items: &[T],
-        mut kernel: F,
-        mut wave_end: G,
-    ) -> KernelStats
-    where
-        T: Copy,
-        F: FnMut(T, &mut LaneMeter),
-        G: FnMut(u64),
-    {
-        let mut stats = KernelStats::new();
-        let wave_cap = self.device.resident_threads();
-        let warp = self.device.warp_size;
-        if sink.is_enabled() {
-            sink.span_begin(
-                track::KERNEL,
-                name,
-                t0,
-                &[
-                    ("items", items.len().into()),
-                    ("wave_capacity", wave_cap.into()),
-                ],
-            );
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_begin(name);
-        for (w, wave_items) in items.chunks(wave_cap).enumerate() {
-            let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
-            hooks::wave_begin(w as u64);
-            let mut meters: Vec<LaneMeter> = Vec::with_capacity(wave_items.len());
-            for (i, &it) in wave_items.iter().enumerate() {
-                hook_lane_ctx(i, warp);
-                let mut m = LaneMeter::new();
-                kernel(it, &mut m);
-                meters.push(m);
-            }
-            let mut critical = 0u64;
-            let mut warp_total = 0u64;
-            for warp_lanes in meters.chunks(warp) {
-                let c = stats.fold_warp(warp_lanes);
-                critical = critical.max(c);
-                warp_total += c;
-            }
-            let dur = self.wave_duration(critical, warp_total);
-            before.settle(&mut stats, critical, dur);
-            let wave_t0 = t0 + stats.sim_cycles;
-            stats.sim_cycles += dur;
-            stats.waves += 1;
-            before.emit_wave(
-                sink,
-                wave_t0,
-                dur,
-                wave_items.len(),
-                critical,
-                warp_total,
-                &stats,
-            );
-            wave_end(w as u64);
-            // The epoch advances after the user's wave_end callback so that
-            // DeferredStore::flush commits land in the wave they belong to.
-            #[cfg(feature = "sancheck")]
-            hooks::wave_end();
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_end();
-        self.finish_kernel_span(sink, name, t0, &stats);
-        stats
-    }
-
     /// Block-per-item launch: one cooperative block per item (the paper's
-    /// block-per-vertex kernel for high-degree vertices).
-    pub fn launch_block_per_item<T, F, G>(&self, items: &[T], kernel: F, wave_end: G) -> KernelStats
-    where
-        T: Copy,
-        F: FnMut(T, &mut BlockCtx<'_>),
-        G: FnMut(u64),
-    {
-        self.launch_block_per_item_traced("kernel:block", 0, &mut NullSink, items, kernel, wave_end)
-    }
-
-    /// [`Self::launch_block_per_item`] with tracing; see
-    /// [`Self::launch_thread_per_item_traced`] for the span layout.
-    pub fn launch_block_per_item_traced<T, F, G>(
+    /// block-per-vertex kernel for high-degree vertices). Same contract as
+    /// [`Self::launch_thread_per_item`], with whole blocks as the unit of
+    /// chunking (a block's lanes share a `BlockCtx` and must stay
+    /// together): shards merge in block order.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch_block_per_item<T, S, M, F, G>(
         &self,
         name: &str,
         t0: u64,
         sink: &mut dyn TraceSink,
         items: &[T],
-        mut kernel: F,
-        mut wave_end: G,
+        make_shard: M,
+        kernel: F,
+        wave_end: G,
     ) -> KernelStats
     where
-        T: Copy,
-        F: FnMut(T, &mut BlockCtx<'_>),
-        G: FnMut(u64),
+        T: Copy + Sync,
+        S: Send,
+        M: Fn() -> S + Sync,
+        F: Fn(T, &mut BlockCtx<'_>, &mut S) + Sync,
+        G: FnMut(u64, &mut [S]),
     {
-        let mut stats = KernelStats::new();
-        let wave_cap = self.device.resident_blocks();
-        let warp = self.device.warp_size;
-        if sink.is_enabled() {
-            sink.span_begin(
-                track::KERNEL,
-                name,
-                t0,
-                &[
-                    ("items", items.len().into()),
-                    ("wave_capacity", wave_cap.into()),
-                ],
-            );
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_begin(name);
-        for (w, wave_items) in items.chunks(wave_cap).enumerate() {
-            let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
-            hooks::wave_begin(w as u64);
-            let mut critical = 0u64;
-            let mut warp_total = 0u64;
-            for (b, &it) in wave_items.iter().enumerate() {
+        self.run_waves(
+            name,
+            t0,
+            sink,
+            items,
+            self.device.resident_blocks(),
+            1,
+            make_shard,
+            |b, it, shard| {
                 hook_block_ctx(b);
-                let mut ctx = BlockCtx::new(self.device.block_size, warp, &self.cost);
-                kernel(it, &mut ctx);
+                let mut ctx =
+                    BlockCtx::new(self.device.block_size, self.device.warp_size, &self.cost);
+                kernel(it, &mut ctx, shard);
                 // Lanes that never executed a metered op did no work in
                 // this block: drop any barrier-alignment cycles they were
                 // assigned so partially-filled trailing blocks are not
                 // charged for phantom lanes.
                 ctx.zero_untouched();
-                let mut block_cost = 0u64;
-                for warp_lanes in ctx.lanes.chunks(warp) {
-                    let c = stats.fold_warp(warp_lanes);
-                    block_cost = block_cost.max(c);
-                    warp_total += c;
-                }
-                critical = critical.max(block_cost);
-            }
-            let dur = self.wave_duration(critical, warp_total);
-            before.settle(&mut stats, critical, dur);
-            let wave_t0 = t0 + stats.sim_cycles;
-            stats.sim_cycles += dur;
-            stats.waves += 1;
-            before.emit_wave(
-                sink,
-                wave_t0,
-                dur,
-                wave_items.len(),
-                critical,
-                warp_total,
-                &stats,
-            );
-            wave_end(w as u64);
-            #[cfg(feature = "sancheck")]
-            hooks::wave_end();
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_end();
-        self.finish_kernel_span(sink, name, t0, &stats);
-        stats
+                ctx.lanes
+            },
+            wave_end,
+        )
     }
 
-    /// Thread-per-item launch that may execute lanes on multiple host
-    /// threads, with results bit-for-bit identical to the serial path.
-    ///
-    /// Lanes within a wave are independent by construction — reads see
-    /// wave-start state, writes are staged — so the only ordering that can
-    /// leak into results is the order in which staged writes are merged.
-    /// The sharded launch pins that order: each wave is split into
-    /// **contiguous** chunks of lanes, each chunk runs serially on one
-    /// host thread against its own shard `S` (created by `make_shard`),
-    /// and `wave_end` receives the shards **in chunk order**, which equals
-    /// lane order. Concatenating the shards' staged writes therefore
-    /// reproduces the serial staging order exactly, for any thread count.
-    /// Per-lane meters are likewise collected in lane order and folded
-    /// into warps serially, so `KernelStats` and trace spans are
-    /// unchanged.
-    ///
-    /// Falls back to serial execution (one shard, identical results) when
-    /// `threads <= 1` or a `sancheck` checker is installed — the checker's
-    /// shadow state tracks one lane at a time and hooks would interleave
-    /// nondeterministically across host threads.
+    /// The wave loop of both launch shapes: runs `items` in waves of
+    /// `wave_cap` through [`Self::run_chunks`] and folds what each wave
+    /// retired into the launch's stats, trace spans and hazard-checker
+    /// epochs.
     #[allow(clippy::too_many_arguments)]
-    pub fn launch_thread_per_item_sharded_traced<T, S, M, F, G>(
+    fn run_waves<T, S, R, M, K, G>(
         &self,
         name: &str,
         t0: u64,
         sink: &mut dyn TraceSink,
         items: &[T],
+        wave_cap: usize,
+        min_chunk: usize,
         make_shard: M,
-        kernel: F,
+        run_item: K,
         mut wave_end: G,
     ) -> KernelStats
     where
         T: Copy + Sync,
         S: Send,
+        R: Retired,
         M: Fn() -> S + Sync,
-        F: Fn(T, &mut LaneMeter, &mut S) + Sync,
+        K: Fn(usize, T, &mut S) -> R + Sync,
         G: FnMut(u64, &mut [S]),
     {
         let mut stats = KernelStats::new();
-        let wave_cap = self.device.resident_threads();
         let warp = self.device.warp_size;
         if sink.is_enabled() {
             sink.span_begin(
@@ -361,22 +267,22 @@ impl WaveScheduler {
         }
         #[cfg(feature = "sancheck")]
         hooks::kernel_begin(name);
-        let serial = self.threads <= 1 || checker_active();
         for (w, wave_items) in items.chunks(wave_cap).enumerate() {
             let before = WaveSnapshot::of(&stats);
             #[cfg(feature = "sancheck")]
             hooks::wave_begin(w as u64);
-            let (meters, mut shards) = if serial {
-                self.run_lanes_serial(wave_items, &make_shard, &kernel)
-            } else {
-                self.run_lanes_parallel(wave_items, &make_shard, &kernel)
-            };
+            let (retired, mut shards) =
+                self.run_chunks(wave_items, min_chunk, &make_shard, &run_item);
             let mut critical = 0u64;
             let mut warp_total = 0u64;
-            for warp_lanes in meters.chunks(warp) {
-                let c = stats.fold_warp(warp_lanes);
-                critical = critical.max(c);
-                warp_total += c;
+            for group in R::groups(&retired) {
+                let mut group_cost = 0u64;
+                for warp_lanes in group.chunks(warp) {
+                    let c = stats.fold_warp(warp_lanes);
+                    group_cost = group_cost.max(c);
+                    warp_total += c;
+                }
+                critical = critical.max(group_cost);
             }
             let dur = self.wave_duration(critical, warp_total);
             before.settle(&mut stats, critical, dur);
@@ -393,6 +299,8 @@ impl WaveScheduler {
                 &stats,
             );
             wave_end(w as u64, &mut shards);
+            // The epoch advances after the user's wave_end callback so that
+            // flush commits land in the wave they belong to.
             #[cfg(feature = "sancheck")]
             hooks::wave_end();
         }
@@ -402,219 +310,65 @@ impl WaveScheduler {
         stats
     }
 
-    /// Block-per-item counterpart of
-    /// [`Self::launch_thread_per_item_sharded_traced`]: whole blocks are
-    /// distributed over host threads (a block's lanes share a `BlockCtx`
-    /// and must stay together), shards merge in block order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_block_per_item_sharded_traced<T, S, M, F, G>(
+    /// Run one wave's items in contiguous chunks of at least `min_chunk`
+    /// items, one shard per chunk, and return what the items retired in
+    /// item order and the shards in chunk order. A single chunk runs
+    /// inline on the calling thread; more run on scoped host threads, and
+    /// a worker panic is re-raised here. `run_item` receives each item's
+    /// wave-relative index, which the launches report to the hazard hooks.
+    fn run_chunks<T, S, R, M, K>(
         &self,
-        name: &str,
-        t0: u64,
-        sink: &mut dyn TraceSink,
-        items: &[T],
-        make_shard: M,
-        kernel: F,
-        mut wave_end: G,
-    ) -> KernelStats
+        wave_items: &[T],
+        min_chunk: usize,
+        make_shard: &M,
+        run_item: &K,
+    ) -> (Vec<R>, Vec<S>)
     where
         T: Copy + Sync,
         S: Send,
+        R: Send,
         M: Fn() -> S + Sync,
-        F: Fn(T, &mut BlockCtx<'_>, &mut S) + Sync,
-        G: FnMut(u64, &mut [S]),
-    {
-        let mut stats = KernelStats::new();
-        let wave_cap = self.device.resident_blocks();
-        let warp = self.device.warp_size;
-        if sink.is_enabled() {
-            sink.span_begin(
-                track::KERNEL,
-                name,
-                t0,
-                &[
-                    ("items", items.len().into()),
-                    ("wave_capacity", wave_cap.into()),
-                ],
-            );
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_begin(name);
-        let serial = self.threads <= 1 || checker_active();
-        for (w, wave_items) in items.chunks(wave_cap).enumerate() {
-            let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
-            hooks::wave_begin(w as u64);
-            let (blocks, mut shards) = if serial {
-                self.run_blocks_serial(wave_items, &make_shard, &kernel)
-            } else {
-                self.run_blocks_parallel(wave_items, &make_shard, &kernel)
-            };
-            let mut critical = 0u64;
-            let mut warp_total = 0u64;
-            for lanes in &blocks {
-                let mut block_cost = 0u64;
-                for warp_lanes in lanes.chunks(warp) {
-                    let c = stats.fold_warp(warp_lanes);
-                    block_cost = block_cost.max(c);
-                    warp_total += c;
-                }
-                critical = critical.max(block_cost);
-            }
-            let dur = self.wave_duration(critical, warp_total);
-            before.settle(&mut stats, critical, dur);
-            let wave_t0 = t0 + stats.sim_cycles;
-            stats.sim_cycles += dur;
-            stats.waves += 1;
-            before.emit_wave(
-                sink,
-                wave_t0,
-                dur,
-                wave_items.len(),
-                critical,
-                warp_total,
-                &stats,
-            );
-            wave_end(w as u64, &mut shards);
-            #[cfg(feature = "sancheck")]
-            hooks::wave_end();
-        }
-        #[cfg(feature = "sancheck")]
-        hooks::kernel_end();
-        self.finish_kernel_span(sink, name, t0, &stats);
-        stats
-    }
-
-    /// One wave of thread-per-item lanes on the calling thread (the
-    /// sancheck-compatible path: lane coordinates are reported per lane).
-    fn run_lanes_serial<T, S, M, F>(
-        &self,
-        wave_items: &[T],
-        make_shard: &M,
-        kernel: &F,
-    ) -> (Vec<LaneMeter>, Vec<S>)
-    where
-        T: Copy,
-        M: Fn() -> S,
-        F: Fn(T, &mut LaneMeter, &mut S),
-    {
-        let mut shard = make_shard();
-        let mut meters = Vec::with_capacity(wave_items.len());
-        for (i, &it) in wave_items.iter().enumerate() {
-            hook_lane_ctx(i, self.device.warp_size);
-            let mut m = LaneMeter::new();
-            kernel(it, &mut m, &mut shard);
-            meters.push(m);
-        }
-        (meters, vec![shard])
-    }
-
-    /// One wave of thread-per-item lanes split into contiguous chunks on
-    /// scoped host threads; meters and shards return in chunk (= lane)
-    /// order.
-    fn run_lanes_parallel<T, S, M, F>(
-        &self,
-        wave_items: &[T],
-        make_shard: &M,
-        kernel: &F,
-    ) -> (Vec<LaneMeter>, Vec<S>)
-    where
-        T: Copy + Sync,
-        S: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(T, &mut LaneMeter, &mut S) + Sync,
+        K: Fn(usize, T, &mut S) -> R + Sync,
     {
         let n = wave_items.len();
-        let nchunks = self.threads.min(n.div_ceil(MIN_LANES_PER_CHUNK)).max(1);
-        if nchunks <= 1 {
-            return self.run_lanes_serial(wave_items, make_shard, kernel);
-        }
-        let chunk_len = n.div_ceil(nchunks);
-        let results = run_chunks(wave_items, chunk_len, |chunk| {
+        let chunks = if checker_active() {
+            1
+        } else {
+            self.threads.min(n.div_ceil(min_chunk)).max(1)
+        };
+        let chunk_len = n.div_ceil(chunks);
+        let run_chunk = |first: usize, chunk: &[T]| {
             let mut shard = make_shard();
-            let mut ms = Vec::with_capacity(chunk.len());
-            for &it in chunk {
-                let mut m = LaneMeter::new();
-                kernel(it, &mut m, &mut shard);
-                ms.push(m);
-            }
-            (ms, shard)
+            let retired: Vec<R> = chunk
+                .iter()
+                .enumerate()
+                .map(|(i, &it)| run_item(first + i, it, &mut shard))
+                .collect();
+            (retired, shard)
+        };
+        if chunks == 1 {
+            let (retired, shard) = run_chunk(0, wave_items);
+            return (retired, vec![shard]);
+        }
+        let run_chunk = &run_chunk;
+        let results: Vec<(Vec<R>, S)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = wave_items
+                .chunks(chunk_len)
+                .enumerate()
+                .map(|(c, chunk)| scope.spawn(move || run_chunk(c * chunk_len, chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
-        let mut meters = Vec::with_capacity(n);
+        let mut retired = Vec::with_capacity(n);
         let mut shards = Vec::with_capacity(results.len());
-        for (ms, s) in results {
-            meters.extend(ms);
+        for (r, s) in results {
+            retired.extend(r);
             shards.push(s);
         }
-        (meters, shards)
-    }
-
-    /// One wave of block-per-item blocks on the calling thread; returns
-    /// each block's retired lane meters in block order.
-    #[allow(clippy::type_complexity)]
-    fn run_blocks_serial<T, S, M, F>(
-        &self,
-        wave_items: &[T],
-        make_shard: &M,
-        kernel: &F,
-    ) -> (Vec<Vec<LaneMeter>>, Vec<S>)
-    where
-        T: Copy,
-        M: Fn() -> S,
-        F: Fn(T, &mut BlockCtx<'_>, &mut S),
-    {
-        let mut shard = make_shard();
-        let mut blocks = Vec::with_capacity(wave_items.len());
-        for (b, &it) in wave_items.iter().enumerate() {
-            hook_block_ctx(b);
-            let mut ctx = BlockCtx::new(self.device.block_size, self.device.warp_size, &self.cost);
-            kernel(it, &mut ctx, &mut shard);
-            ctx.zero_untouched();
-            blocks.push(ctx.lanes);
-        }
-        (blocks, vec![shard])
-    }
-
-    /// One wave of block-per-item blocks split into contiguous chunks on
-    /// scoped host threads; blocks and shards return in block order.
-    #[allow(clippy::type_complexity)]
-    fn run_blocks_parallel<T, S, M, F>(
-        &self,
-        wave_items: &[T],
-        make_shard: &M,
-        kernel: &F,
-    ) -> (Vec<Vec<LaneMeter>>, Vec<S>)
-    where
-        T: Copy + Sync,
-        S: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(T, &mut BlockCtx<'_>, &mut S) + Sync,
-    {
-        let n = wave_items.len();
-        let nchunks = self.threads.min(n).max(1);
-        if nchunks <= 1 {
-            return self.run_blocks_serial(wave_items, make_shard, kernel);
-        }
-        let chunk_len = n.div_ceil(nchunks);
-        let results = run_chunks(wave_items, chunk_len, |chunk| {
-            let mut shard = make_shard();
-            let mut blocks = Vec::with_capacity(chunk.len());
-            for &it in chunk {
-                let mut ctx =
-                    BlockCtx::new(self.device.block_size, self.device.warp_size, &self.cost);
-                kernel(it, &mut ctx, &mut shard);
-                ctx.zero_untouched();
-                blocks.push(ctx.lanes);
-            }
-            (blocks, shard)
-        });
-        let mut blocks = Vec::with_capacity(n);
-        let mut shards = Vec::with_capacity(results.len());
-        for (bs, s) in results {
-            blocks.extend(bs);
-            shards.push(s);
-        }
-        (blocks, shards)
+        (retired, shards)
     }
 
     /// Close the kernel span and flush the launch's histograms.
@@ -921,25 +675,68 @@ impl<'a> BlockCtx<'a> {
 mod tests {
     use super::*;
     use crate::cost::Width;
+    use nulpa_obs::NullSink;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn sched() -> WaveScheduler {
         WaveScheduler::new(DeviceConfig::tiny(), CostModel::default_gpu())
     }
 
+    /// Thread-per-item launch with no shards and no trace.
+    fn threads<T, F>(s: &WaveScheduler, items: &[T], kernel: F) -> KernelStats
+    where
+        T: Copy + Sync,
+        F: Fn(T, &mut LaneMeter) + Sync,
+    {
+        s.launch_thread_per_item(
+            "k",
+            0,
+            &mut NullSink,
+            items,
+            || (),
+            |it, m, _| kernel(it, m),
+            |_, _| {},
+        )
+    }
+
+    /// Block-per-item launch with no shards and no trace.
+    fn blocks<T, F>(s: &WaveScheduler, items: &[T], kernel: F) -> KernelStats
+    where
+        T: Copy + Sync,
+        F: Fn(T, &mut BlockCtx<'_>) + Sync,
+    {
+        s.launch_block_per_item(
+            "k",
+            0,
+            &mut NullSink,
+            items,
+            || (),
+            |it, ctx, _| kernel(it, ctx),
+            |_, _| {},
+        )
+    }
+
+    fn counters(n: usize) -> Vec<AtomicU32> {
+        (0..n).map(|_| AtomicU32::new(0)).collect()
+    }
+
     #[test]
     fn every_item_runs_exactly_once() {
-        let s = sched();
         let items: Vec<usize> = (0..1000).collect();
-        let mut seen = vec![0u32; 1000];
-        s.launch_thread_per_item(&items, |it, _| seen[it] += 1, |_| {});
-        assert!(seen.iter().all(|&c| c == 1));
+        for t in [1, 4] {
+            let seen = counters(1000);
+            threads(&sched().with_threads(t), &items, |it, _| {
+                seen[it].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        }
     }
 
     #[test]
     fn wave_count_matches_capacity() {
         let s = sched(); // tiny: 64 resident threads
         let items: Vec<usize> = (0..130).collect();
-        let stats = s.launch_thread_per_item(&items, |_, _| {}, |_| {});
+        let stats = threads(&s, &items, |_, _| {});
         assert_eq!(stats.waves, 3); // 64 + 64 + 2
         assert_eq!(stats.threads, 130);
     }
@@ -949,7 +746,15 @@ mod tests {
         let s = sched();
         let items: Vec<usize> = (0..65).collect();
         let mut ends = Vec::new();
-        s.launch_thread_per_item(&items, |_, _| {}, |w| ends.push(w));
+        s.launch_thread_per_item(
+            "k",
+            0,
+            &mut NullSink,
+            &items,
+            || (),
+            |_, _, _| {},
+            |w, _| ends.push(w),
+        );
         assert_eq!(ends, vec![0, 1]);
     }
 
@@ -958,14 +763,10 @@ mod tests {
         let s = sched();
         // one warp (4 lanes in tiny config): one lane does 10 ALU, rest do 1
         let items: Vec<usize> = (0..4).collect();
-        let stats = s.launch_thread_per_item(
-            &items,
-            |it, m| {
-                let n = if it == 0 { 10 } else { 1 };
-                m.alu(&CostModel::default_gpu(), n);
-            },
-            |_| {},
-        );
+        let stats = threads(&s, &items, |it, m| {
+            let n = if it == 0 { 10 } else { 1 };
+            m.alu(&CostModel::default_gpu(), n);
+        });
         assert_eq!(stats.sim_cycles, 10);
         assert_eq!(stats.lane_cycles, 13);
     }
@@ -974,11 +775,9 @@ mod tests {
     fn idle_cycles_are_max_minus_lane() {
         let s = sched();
         let items: Vec<usize> = (0..4).collect();
-        let stats = s.launch_thread_per_item(
-            &items,
-            |it, m| m.alu(&CostModel::default_gpu(), if it == 0 { 10 } else { 1 }),
-            |_| {},
-        );
+        let stats = threads(&s, &items, |it, m| {
+            m.alu(&CostModel::default_gpu(), if it == 0 { 10 } else { 1 })
+        });
         // idle = (10-10) + (10-1)*3 = 27
         assert_eq!(stats.idle_cycles, 27);
     }
@@ -986,7 +785,7 @@ mod tests {
     #[test]
     fn empty_launch_is_free() {
         let s = sched();
-        let stats = s.launch_thread_per_item(&[] as &[usize], |_, _| {}, |_| {});
+        let stats = threads(&s, &[] as &[usize], |_, _| {});
         assert_eq!(stats, KernelStats::new());
     }
 
@@ -995,8 +794,19 @@ mod tests {
         let s = sched(); // block_size 8
         let items = [0usize, 1, 2];
         let mut lanes_seen = Vec::new();
-        let stats =
-            s.launch_block_per_item(&items, |_, ctx| lanes_seen.push(ctx.num_lanes()), |_| {});
+        let stats = s.launch_block_per_item(
+            "k",
+            0,
+            &mut NullSink,
+            &items,
+            Vec::new,
+            |_, ctx, shard: &mut Vec<usize>| shard.push(ctx.num_lanes()),
+            |_, shards| {
+                for sh in shards.iter_mut() {
+                    lanes_seen.append(sh);
+                }
+            },
+        );
         assert_eq!(lanes_seen, vec![8, 8, 8]);
         assert_eq!(stats.threads, 24);
     }
@@ -1005,37 +815,29 @@ mod tests {
     fn block_waves_respect_resident_blocks() {
         let s = sched(); // tiny: 2 SMs * (32/8) = 8 resident blocks
         let items: Vec<usize> = (0..17).collect();
-        let stats = s.launch_block_per_item(&items, |_, _| {}, |_| {});
+        let stats = blocks(&s, &items, |_, _| {});
         assert_eq!(stats.waves, 3);
     }
 
     #[test]
     fn strided_distribution_covers_all_units() {
         let s = sched();
-        let mut hits = [0u32; 20];
-        s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.for_each_strided(20, |k, m| {
-                    hits[k] += 1;
-                    m.alu(&CostModel::default_gpu(), 1);
-                })
-            },
-            |_| {},
-        );
-        assert!(hits.iter().all(|&h| h == 1));
+        let hits = counters(20);
+        blocks(&s, &[()], |_, ctx| {
+            ctx.for_each_strided(20, |k, m| {
+                hits[k].fetch_add(1, Ordering::Relaxed);
+                m.alu(&CostModel::default_gpu(), 1);
+            })
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn strided_work_balances_lanes() {
         let s = sched(); // block 8
-        let stats = s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.for_each_strided(16, |_, m| m.alu(&CostModel::default_gpu(), 1));
-            },
-            |_| {},
-        );
+        let stats = blocks(&s, &[()], |_, ctx| {
+            ctx.for_each_strided(16, |_, m| m.alu(&CostModel::default_gpu(), 1));
+        });
         // 16 units over 8 lanes = 2 each; perfectly balanced
         assert_eq!(stats.idle_cycles, 0);
         assert_eq!(stats.sim_cycles, 2);
@@ -1044,17 +846,13 @@ mod tests {
     #[test]
     fn barrier_aligns_lanes() {
         let s = sched();
-        let stats = s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                let c = CostModel::default_gpu();
-                ctx.lane(0).alu(&c, 9);
-                ctx.barrier();
-                // after barrier everyone is at 9; add one more on lane 1
-                ctx.lane(1).alu(&c, 1);
-            },
-            |_| {},
-        );
+        let stats = blocks(&s, &[()], |_, ctx| {
+            let c = CostModel::default_gpu();
+            ctx.lane(0).alu(&c, 9);
+            ctx.barrier();
+            // after barrier everyone is at 9; add one more on lane 1
+            ctx.lane(1).alu(&c, 1);
+        });
         assert_eq!(stats.sim_cycles, 10);
     }
 
@@ -1065,14 +863,10 @@ mod tests {
         // aligns them while the block runs, but lanes that never executed
         // a metered op are dropped when the block retires.
         let s = sched(); // block 8, warp 4
-        let stats = s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.lane(0).alu(&CostModel::default_gpu(), 9);
-                ctx.barrier();
-            },
-            |_| {},
-        );
+        let stats = blocks(&s, &[()], |_, ctx| {
+            ctx.lane(0).alu(&CostModel::default_gpu(), 9);
+            ctx.barrier();
+        });
         assert_eq!(stats.lane_cycles, 9); // lane 0 only
         assert_eq!(stats.idle_cycles, 27); // 3 idle lanes in warp 0; warp 1 empty
         assert_eq!(stats.sim_cycles, 9);
@@ -1083,18 +877,14 @@ mod tests {
         // Lane 1 does some work and then exits (early return); the
         // barrier must not drag it up to the slowest active lane.
         let s = sched();
-        let stats = s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                let c = CostModel::default_gpu();
-                ctx.lane(1).alu(&c, 5);
-                ctx.set_lane_active(1, false);
-                assert!(!ctx.lane_active(1));
-                ctx.lane(0).alu(&c, 9);
-                ctx.barrier();
-            },
-            |_| {},
-        );
+        let stats = blocks(&s, &[()], |_, ctx| {
+            let c = CostModel::default_gpu();
+            ctx.lane(1).alu(&c, 5);
+            ctx.set_lane_active(1, false);
+            assert!(!ctx.lane_active(1));
+            ctx.lane(0).alu(&c, 9);
+            ctx.barrier();
+        });
         // lane 0 at 9, lane 1 keeps its 5; untouched lanes dropped
         assert_eq!(stats.lane_cycles, 14);
         assert_eq!(stats.sim_cycles, 9);
@@ -1103,7 +893,7 @@ mod tests {
     #[test]
     fn reduction_charges_log_steps() {
         let s = sched();
-        let stats = s.launch_block_per_item(&[()], |_, ctx| ctx.charge_reduction(8), |_| {});
+        let stats = blocks(&s, &[()], |_, ctx| ctx.charge_reduction(8));
         // log2(8) = 3 steps; each step: shared (1) + alu (1) = 2 cycles
         assert_eq!(stats.sim_cycles, 6);
     }
@@ -1111,7 +901,7 @@ mod tests {
     #[test]
     fn reduction_of_one_is_free() {
         let s = sched();
-        let stats = s.launch_block_per_item(&[()], |_, ctx| ctx.charge_reduction(1), |_| {});
+        let stats = blocks(&s, &[()], |_, ctx| ctx.charge_reduction(1));
         assert_eq!(stats.sim_cycles, 0);
     }
 
@@ -1127,8 +917,7 @@ mod tests {
         let items: Vec<usize> = (0..200_000).collect();
         let run = |d: DeviceConfig| {
             let s = WaveScheduler::new(d, CostModel::default_gpu());
-            s.launch_thread_per_item(&items, |_, m| m.alu(&CostModel::default_gpu(), 10), |_| {})
-                .sim_cycles
+            threads(&s, &items, |_, m| m.alu(&CostModel::default_gpu(), 10)).sim_cycles
         };
         let c_full = run(full);
         let c_restricted = run(restricted);
@@ -1143,13 +932,14 @@ mod tests {
         let s = sched(); // tiny: 64 resident threads
         let items: Vec<usize> = (0..130).collect();
         let mut sink = nulpa_obs::RecordingSink::new();
-        let stats = s.launch_thread_per_item_traced(
+        let stats = s.launch_thread_per_item(
             "kernel:test",
             100,
             &mut sink,
             &items,
-            |_, m| m.alu(&CostModel::default_gpu(), 1),
-            |_| {},
+            || (),
+            |_, m, _| m.alu(&CostModel::default_gpu(), 1),
+            |_, _| {},
         );
         // 1 kernel span + 3 wave spans
         assert_eq!(sink.span_counts(), (4, 4, 0));
@@ -1171,16 +961,17 @@ mod tests {
     }
 
     #[test]
-    fn traced_and_untraced_launch_agree() {
+    fn recording_sink_does_not_change_stats() {
         let s = sched();
         let items: Vec<usize> = (0..100).collect();
-        let kernel = |it: usize, m: &mut LaneMeter| {
+        let kernel = |it: usize, m: &mut LaneMeter, _: &mut ()| {
             m.alu(&CostModel::default_gpu(), (it % 7) as u64);
             m.global_read(&CostModel::default_gpu(), it * 3, Width::W32);
         };
-        let plain = s.launch_thread_per_item(&items, kernel, |_| {});
         let mut sink = nulpa_obs::RecordingSink::new();
-        let traced = s.launch_thread_per_item_traced("k", 0, &mut sink, &items, kernel, |_| {});
+        let traced = s.launch_thread_per_item("k", 0, &mut sink, &items, || (), kernel, |_, _| {});
+        let plain =
+            s.launch_thread_per_item("k", 0, &mut NullSink, &items, || (), kernel, |_, _| {});
         assert_eq!(plain, traced);
     }
 
@@ -1189,13 +980,14 @@ mod tests {
         let s = sched(); // 8 resident blocks
         let items: Vec<usize> = (0..9).collect();
         let mut sink = nulpa_obs::RecordingSink::new();
-        let stats = s.launch_block_per_item_traced(
+        let stats = s.launch_block_per_item(
             "kernel:block",
             0,
             &mut sink,
             &items,
-            |_, ctx| ctx.for_each_strided(4, |_, m| m.alu(&CostModel::default_gpu(), 2)),
-            |_| {},
+            || (),
+            |_, ctx, _| ctx.for_each_strided(4, |_, m| m.alu(&CostModel::default_gpu(), 2)),
+            |_, _| {},
         );
         assert_eq!(stats.waves, 2);
         assert_eq!(sink.span_counts(), (3, 3, 0)); // kernel + 2 waves
@@ -1204,14 +996,10 @@ mod tests {
     #[test]
     fn probe_done_reaches_kernel_hist() {
         let s = sched();
-        let stats = s.launch_thread_per_item(
-            &[0usize, 1, 2],
-            |it, m| {
-                m.probe();
-                m.probe_done(1 + it as u64);
-            },
-            |_| {},
-        );
+        let stats = threads(&s, &[0usize, 1, 2], |it, m| {
+            m.probe();
+            m.probe_done(1 + it as u64);
+        });
         assert_eq!(stats.probe_hist.count, 3);
         assert_eq!(stats.probe_hist.max, 3);
         assert_eq!(stats.probes, 3);
@@ -1230,7 +1018,7 @@ mod tests {
         let s = sched().with_threads(threads);
         let mut order = Vec::new();
         let mut waves = Vec::new();
-        let stats = s.launch_thread_per_item_sharded_traced(
+        let stats = s.launch_thread_per_item(
             "k",
             0,
             &mut NullSink,
@@ -1248,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_thread_launch_is_bitwise_identical_across_thread_counts() {
+    fn thread_launch_is_bitwise_identical_across_thread_counts() {
         let items: Vec<usize> = (0..500).collect();
         let (o1, w1, s1) = run_sharded_thread(1, &items);
         for threads in [2, 4, 7] {
@@ -1263,27 +1051,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_thread_launch_matches_classic_launch_stats() {
-        let items: Vec<usize> = (0..300).collect();
-        let classic = sched().launch_thread_per_item(
-            &items,
-            |it, m| {
-                let mut unused = Vec::new();
-                thread_kernel_for_shards(it, m, &mut unused);
-            },
-            |_| {},
-        );
-        let (_, _, sharded) = run_sharded_thread(4, &items);
-        assert_eq!(classic, sharded);
-    }
-
-    #[test]
-    fn sharded_block_launch_is_bitwise_identical_across_thread_counts() {
+    fn block_launch_is_bitwise_identical_across_thread_counts() {
         let items: Vec<usize> = (0..40).collect();
         let run = |threads: usize| {
             let s = sched().with_threads(threads);
             let mut order = Vec::new();
-            let stats = s.launch_block_per_item_sharded_traced(
+            let stats = s.launch_block_per_item(
                 "k",
                 0,
                 &mut NullSink,
@@ -1310,12 +1083,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_traced_spans_match_serial_launch() {
+    fn trace_spans_are_identical_across_thread_counts() {
         let items: Vec<usize> = (0..130).collect();
         let trace = |threads: usize| {
             let s = sched().with_threads(threads);
             let mut sink = nulpa_obs::RecordingSink::new();
-            s.launch_thread_per_item_sharded_traced(
+            s.launch_thread_per_item(
                 "kernel:test",
                 50,
                 &mut sink,
@@ -1340,19 +1113,11 @@ mod tests {
         let s = sched().with_threads(4);
         let items: Vec<usize> = (0..200).collect();
         let r = std::panic::catch_unwind(|| {
-            s.launch_thread_per_item_sharded_traced(
-                "k",
-                0,
-                &mut NullSink,
-                &items,
-                || (),
-                |it, _m, _| {
-                    if it == 137 {
-                        panic!("lane fault");
-                    }
-                },
-                |_, _| {},
-            )
+            threads(&s, &items, |it, _m| {
+                if it == 137 {
+                    panic!("lane fault");
+                }
+            })
         });
         assert!(r.is_err());
     }
@@ -1360,11 +1125,9 @@ mod tests {
     #[test]
     fn atomic_width_visible_in_stats() {
         let s = sched();
-        let stats = s.launch_thread_per_item(
-            &[0usize],
-            |_, m| m.atomic(&CostModel::default_gpu(), 0, Width::W64),
-            |_| {},
-        );
+        let stats = threads(&s, &[0usize], |_, m| {
+            m.atomic(&CostModel::default_gpu(), 0, Width::W64)
+        });
         assert_eq!(stats.atomics, 1);
         assert!(stats.sim_cycles > 0);
     }

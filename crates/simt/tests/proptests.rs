@@ -1,7 +1,43 @@
 //! Property-based tests for the SIMT simulator.
 
-use nulpa_simt::{CostModel, DeferredStore, DeviceConfig, LaneMeter, WaveScheduler, Width};
+use nulpa_simt::{
+    BlockCtx, CostModel, DeferredStore, DeviceConfig, KernelStats, LaneMeter, NullSink,
+    WaveScheduler, Width,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Thread-per-item launch on `threads` host threads, no shards, no trace.
+fn thread_launch<F>(sched: WaveScheduler, threads: usize, items: &[usize], kernel: F) -> KernelStats
+where
+    F: Fn(usize, &mut LaneMeter) + Sync,
+{
+    sched.with_threads(threads).launch_thread_per_item(
+        "k",
+        0,
+        &mut NullSink,
+        items,
+        || (),
+        |it, m, _| kernel(it, m),
+        |_, _| {},
+    )
+}
+
+/// Block-per-item launch on `threads` host threads, no shards, no trace.
+fn block_launch<F>(sched: WaveScheduler, threads: usize, items: &[()], kernel: F) -> KernelStats
+where
+    F: Fn(&mut BlockCtx<'_>) + Sync,
+{
+    sched.with_threads(threads).launch_block_per_item(
+        "k",
+        0,
+        &mut NullSink,
+        items,
+        || (),
+        |_, ctx, _| kernel(ctx),
+        |_, _| {},
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -11,6 +47,7 @@ proptest! {
         n_items in 0usize..5000,
         sm in 1usize..8,
         tps in 1usize..8,
+        threads in 1usize..=4,
     ) {
         let device = DeviceConfig {
             sm_count: sm,
@@ -23,25 +60,28 @@ proptest! {
         };
         let sched = WaveScheduler::new(device, CostModel::default_gpu());
         let items: Vec<usize> = (0..n_items).collect();
-        let mut hits = vec![0u8; n_items];
-        let stats = sched.launch_thread_per_item(&items, |i, _| hits[i] += 1, |_| {});
-        prop_assert!(hits.iter().all(|&h| h == 1));
+        let hits: Vec<AtomicU32> = (0..n_items).map(|_| AtomicU32::new(0)).collect();
+        let kernel = |i: usize, _: &mut LaneMeter| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        };
+        let stats = thread_launch(sched, threads, &items, kernel);
+        prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         prop_assert_eq!(stats.threads as usize, n_items);
         let expected_waves = n_items.div_ceil(device.resident_threads().max(1));
         prop_assert_eq!(stats.waves as usize, expected_waves);
+        prop_assert_eq!(stats, thread_launch(sched, 1, &items, kernel));
     }
 
     #[test]
     fn sim_cycles_bounded_by_work(
         costs in proptest::collection::vec(0u64..200, 1..300),
+        threads in 1usize..=4,
     ) {
         let sched = WaveScheduler::new(DeviceConfig::tiny(), CostModel::default_gpu());
         let items: Vec<usize> = (0..costs.len()).collect();
-        let stats = sched.launch_thread_per_item(
-            &items,
-            |i, m| m.alu(&CostModel::default_gpu(), costs[i]),
-            |_| {},
-        );
+        let kernel = |i: usize, m: &mut LaneMeter| m.alu(&CostModel::default_gpu(), costs[i]);
+        let stats = thread_launch(sched, threads, &items, kernel);
+        prop_assert_eq!(&stats, &thread_launch(sched, 1, &items, kernel));
         // duration can never exceed total lockstep work nor undercut the
         // single slowest lane
         let max_cost = *costs.iter().max().unwrap();
@@ -116,11 +156,7 @@ proptest! {
         // steps, each costing one shared access + one ALU op = 2 cycles
         // on every participating lane, in lockstep.
         let sched = WaveScheduler::new(DeviceConfig::tiny(), CostModel::default_gpu());
-        let stats = sched.launch_block_per_item(
-            &[()],
-            |_, ctx| ctx.charge_reduction(count),
-            |_| {},
-        );
+        let stats = block_launch(sched, 1, &[()], |ctx| ctx.charge_reduction(count));
         let steps = (usize::BITS - (count - 1).leading_zeros()) as u64;
         prop_assert_eq!(steps, (count as f64).log2().ceil() as u64);
         prop_assert_eq!(stats.sim_cycles, 2 * steps);
@@ -161,19 +197,21 @@ proptest! {
     #[test]
     fn block_launch_conserves_strided_work(
         count in 0usize..500,
+        blocks in 1usize..20,
+        threads in 1usize..=4,
     ) {
         let sched = WaveScheduler::new(DeviceConfig::tiny(), CostModel::default_gpu());
-        let mut seen = vec![false; count];
-        sched.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.for_each_strided(count, |k, m| {
-                    seen[k] = true;
-                    m.alu(&CostModel::default_gpu(), 1);
-                });
-            },
-            |_| {},
-        );
-        prop_assert!(seen.iter().all(|&s| s));
+        let seen: Vec<AtomicU32> = (0..count).map(|_| AtomicU32::new(0)).collect();
+        let kernel = |ctx: &mut BlockCtx<'_>| {
+            ctx.for_each_strided(count, |k, m| {
+                seen[k].fetch_add(1, Ordering::Relaxed);
+                m.alu(&CostModel::default_gpu(), 1);
+            });
+        };
+        let items = vec![(); blocks];
+        let stats = block_launch(sched, threads, &items, kernel);
+        prop_assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == blocks as u32));
+        prop_assert_eq!(stats.lane_cycles, (count * blocks) as u64);
+        prop_assert_eq!(stats, block_launch(sched, 1, &items, kernel));
     }
 }

@@ -51,6 +51,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 step "nulpa check (static effect verifier + workspace linter)"
 cargo run --release --bin nulpa -- check
 
+# Gate self-test: the injected fault descriptors must fail the check, or
+# the gate above is vacuous.
+step "nulpa check --inject (injected faults must fail)"
+if cargo run --release --bin nulpa -- check --inject > /dev/null 2>&1; then
+  fail "nulpa check --inject unexpectedly passed; the gate is vacuous"
+fi
+
 step "sancheck (dynamic hazard checker)"
 cargo run --release --bin nulpa -- sancheck
 

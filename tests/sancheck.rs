@@ -11,8 +11,10 @@ use nu_lpa::baselines::{gunrock_lp, GunrockConfig};
 use nu_lpa::core::{lpa_gpu, lpa_native, LpaConfig, SwapMode};
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
 use nu_lpa::sancheck::{hooks, install, uninstall, CheckerConfig, HazardKind, SancheckReport};
-use nu_lpa::simt::{CostModel, DeferredStore, DeviceConfig, WaveScheduler};
-use std::cell::RefCell;
+use nu_lpa::simt::{
+    BlockCtx, CostModel, DeferredStore, DeviceConfig, NullSink, StagedWrites, SyncDeferredStore,
+    WaveScheduler,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
@@ -30,6 +32,38 @@ fn sched() -> WaveScheduler {
     WaveScheduler::new(DeviceConfig::tiny(), CostModel::default_gpu())
 }
 
+/// Thread-per-item launch on the tiny device without shards or a trace;
+/// `wave_end` runs at every wave boundary.
+fn launch_threads(items: &[u32], kernel: impl Fn(u32) + Sync, mut wave_end: impl FnMut()) {
+    sched().launch_thread_per_item(
+        "kernel:thread",
+        0,
+        &mut NullSink,
+        items,
+        || (),
+        |it, _, _| kernel(it),
+        |_, _| wave_end(),
+    );
+}
+
+/// Block-per-item launch of one block on the tiny device.
+fn launch_block(kernel: impl Fn(&mut BlockCtx<'_>) + Sync) {
+    sched().launch_block_per_item(
+        "kernel:block",
+        0,
+        &mut NullSink,
+        &[()],
+        || (),
+        |_, ctx, _| kernel(ctx),
+        |_, _| {},
+    );
+}
+
+/// A test-only `DeferredStore` shared by the lanes of a launch.
+fn shared_store(cells: usize) -> Mutex<DeferredStore<u32>> {
+    Mutex::new(DeferredStore::new(vec![0u32; cells]))
+}
+
 /// Run `f` under a fresh checker and return the report.
 fn checked<F: FnOnce()>(f: F) -> SancheckReport {
     install(CheckerConfig::default());
@@ -37,19 +71,35 @@ fn checked<F: FnOnce()>(f: F) -> SancheckReport {
     uninstall().expect("checker was installed")
 }
 
+/// Thread-per-item launch staging through `store` the way `lpa_gpu` does:
+/// `StagedWrites` shards, merged by `flush_shards` in `wave_end`. The
+/// scheduler is configured for 4 host threads; an installed checker keeps
+/// every wave on the calling thread.
+fn launch_staged(
+    store: &SyncDeferredStore,
+    items: &[u32],
+    kernel: impl Fn(u32, &mut StagedWrites) + Sync,
+) {
+    let mut scratch = Vec::new();
+    sched().with_threads(4).launch_thread_per_item(
+        "kernel:thread",
+        0,
+        &mut NullSink,
+        items,
+        StagedWrites::new,
+        |it, _, pending| kernel(it, pending),
+        |_, shards| store.flush_shards(shards, |s| s, &mut scratch),
+    );
+}
+
 #[test]
 fn wave_write_race_attributed_to_second_writer() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
+    let store = SyncDeferredStore::new(vec![0u32; 8]);
     let items: Vec<u32> = (0..8).collect();
     let report = checked(|| {
         // every lane stages cell 0 in the same wave: classic write-write race
-        s.launch_thread_per_item(
-            &items,
-            |it, _m| store.borrow_mut().stage(0, it),
-            |_| store.borrow_mut().flush(),
-        );
+        launch_staged(&store, &items, |it, pending| store.stage(pending, 0, it));
     });
     // 8 stages to one cell: 7 conflicts counted, 1 recorded after dedup
     assert_eq!(report.count_of(HazardKind::WaveWriteRace), 7);
@@ -70,20 +120,19 @@ fn wave_write_race_attributed_to_second_writer() {
 #[test]
 fn same_cell_in_different_waves_is_not_a_race() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
+    let store = shared_store(8);
     // items 0 and 64 both write cell 0, but land in waves 0 and 1 (tiny
     // device holds 64 resident threads) with a flush in between
     let items: Vec<u32> = (0..65).collect();
     let report = checked(|| {
-        s.launch_thread_per_item(
+        launch_threads(
             &items,
-            |it, _m| {
+            |it| {
                 if it == 0 || it == 64 {
-                    store.borrow_mut().stage(0, it);
+                    store.lock().unwrap().stage(0, it);
                 }
             },
-            |_| store.borrow_mut().flush(),
+            || store.lock().unwrap().flush(),
         );
     });
     assert!(report.is_clean(), "{}", report.render());
@@ -92,21 +141,16 @@ fn same_cell_in_different_waves_is_not_a_race() {
 #[test]
 fn write_through_during_wave_is_flagged() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
+    let store = SyncDeferredStore::new(vec![0u32; 8]);
     let items: Vec<u32> = (0..2).collect();
     let report = checked(|| {
-        s.launch_thread_per_item(
-            &items,
-            |it, _m| {
-                if it == 0 {
-                    store.borrow_mut().stage(0, 1); // lane 0 defers
-                } else {
-                    store.borrow_mut().write_through(0, 2); // lane 1 writes now
-                }
-            },
-            |_| store.borrow_mut().flush(),
-        );
+        launch_staged(&store, &items, |it, pending| {
+            if it == 0 {
+                store.stage(pending, 0, 1); // lane 0 defers
+            } else {
+                store.write_through(0, 2); // lane 1 writes now
+            }
+        });
     });
     assert_eq!(report.count_of(HazardKind::WriteThroughRace), 1);
     let h = &report.hazards[0];
@@ -118,21 +162,21 @@ fn write_through_during_wave_is_flagged() {
 #[test]
 fn read_of_uninitialized_cell_is_flagged_once() {
     let _g = locked();
-    let s = sched();
     let items: Vec<u32> = (0..4).collect();
     let report = checked(|| {
         // allocated under the checker, so the cells start shadow-uninit
-        let store = RefCell::new(DeferredStore::new_uninit(vec![0u32; 8]));
-        s.launch_thread_per_item(
+        let store = Mutex::new(DeferredStore::new_uninit(vec![0u32; 8]));
+        launch_threads(
             &items,
-            |it, _m| {
+            |it| {
+                let mut store = store.lock().unwrap();
                 if it == 2 {
-                    store.borrow().get(5); // lane 2 reads garbage
+                    store.get(5); // lane 2 reads garbage
                 }
-                store.borrow_mut().write_through(it as usize, 1);
-                store.borrow().get(it as usize); // initialised: fine
+                store.write_through(it as usize, 1);
+                store.get(it as usize); // initialised: fine
             },
-            |_| {},
+            || {},
         );
     });
     assert_eq!(report.count_of(HazardKind::UninitRead), 1);
@@ -144,14 +188,14 @@ fn read_of_uninitialized_cell_is_flagged_once() {
 #[test]
 fn initialised_store_never_reports_uninit_reads() {
     let _g = locked();
-    let store = RefCell::new(DeferredStore::new(vec![7u32; 4]));
+    let store = DeferredStore::new(vec![7u32; 4]);
     let report = checked(|| {
-        sched().launch_thread_per_item(
+        launch_threads(
             &[0u32, 1, 2, 3],
-            |it, _m| {
-                store.borrow().get(it as usize);
+            |it| {
+                store.get(it as usize);
             },
-            |_| {},
+            || {},
         );
     });
     assert!(report.is_clean(), "{}", report.render());
@@ -160,18 +204,17 @@ fn initialised_store_never_reports_uninit_reads() {
 #[test]
 fn out_of_bounds_stage_is_recorded_before_the_panic() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 3]));
+    let store = shared_store(3);
     install(CheckerConfig::default());
     let result = catch_unwind(AssertUnwindSafe(|| {
-        s.launch_thread_per_item(
+        launch_threads(
             &[0u32, 1, 2, 3],
-            |it, _m| {
+            |it| {
                 // lane 2 computes a bad index (len + 5)
                 let i = if it == 2 { 8 } else { it as usize };
-                store.borrow_mut().stage(i, 1);
+                store.lock().unwrap().stage(i, 1);
             },
-            |_| {},
+            || {},
         );
     }));
     let report = uninstall().expect("checker was installed");
@@ -189,17 +232,13 @@ fn out_of_bounds_stage_is_recorded_before_the_panic() {
 #[test]
 fn barrier_divergence_names_the_missing_lane() {
     let _g = locked();
-    let s = sched(); // block 8 = warps {0..3} and {4..7}
+    // tiny device: block 8 = warps {0..3} and {4..7}
     let report = checked(|| {
-        s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.lane(0).alu(&CostModel::default_gpu(), 3);
-                ctx.set_lane_active(1, false); // early return in warp 0
-                ctx.barrier();
-            },
-            |_| {},
-        );
+        launch_block(|ctx| {
+            ctx.lane(0).alu(&CostModel::default_gpu(), 3);
+            ctx.set_lane_active(1, false); // early return in warp 0
+            ctx.barrier();
+        });
     });
     // warp 0 is mixed (lane 1 left); warp 1 is uniformly active: one hazard
     assert_eq!(report.count_of(HazardKind::BarrierDivergence), 1);
@@ -214,43 +253,43 @@ fn barrier_divergence_names_the_missing_lane() {
 #[test]
 fn uniformly_exited_warp_does_not_diverge() {
     let _g = locked();
-    let s = sched();
     let report = checked(|| {
-        s.launch_block_per_item(
-            &[()],
-            |_, ctx| {
-                ctx.lane(0).alu(&CostModel::default_gpu(), 3);
-                // the whole second warp exits together: no divergence
-                for l in 4..8 {
-                    ctx.set_lane_active(l, false);
-                }
-                ctx.barrier();
-            },
-            |_| {},
-        );
+        launch_block(|ctx| {
+            ctx.lane(0).alu(&CostModel::default_gpu(), 3);
+            // the whole second warp exits together: no divergence
+            for l in 4..8 {
+                ctx.set_lane_active(l, false);
+            }
+            ctx.barrier();
+        });
     });
     assert!(report.is_clean(), "{}", report.render());
+}
+
+/// Lane 0 stages cell 0 and lane 1 atomically exchanges cell
+/// `atomic_cell` in one wave of a test-only `DeferredStore`.
+fn stage_then_atomic(atomic_cell: usize) -> SancheckReport {
+    let store = shared_store(8);
+    checked(|| {
+        launch_threads(
+            &[0, 1],
+            |it| {
+                let mut store = store.lock().unwrap();
+                if it == 0 {
+                    store.stage(0, 1); // plain deferred write
+                } else {
+                    store.atomic_exchange(atomic_cell, 2); // atomic
+                }
+            },
+            || store.lock().unwrap().flush(),
+        );
+    })
 }
 
 #[test]
 fn mixed_atomic_and_staged_access_is_flagged() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
-    let items: Vec<u32> = (0..2).collect();
-    let report = checked(|| {
-        s.launch_thread_per_item(
-            &items,
-            |it, _m| {
-                if it == 0 {
-                    store.borrow_mut().stage(0, 1); // plain deferred write
-                } else {
-                    store.borrow_mut().atomic_exchange(0, 2); // atomic, same cell
-                }
-            },
-            |_| store.borrow_mut().flush(),
-        );
-    });
+    let report = stage_then_atomic(0);
     assert_eq!(report.count_of(HazardKind::MixedAtomicPlain), 1);
     let h = &report.hazards[0];
     assert_eq!(h.kind, HazardKind::MixedAtomicPlain);
@@ -266,41 +305,13 @@ fn atomic_on_dedicated_cell_is_clean_unlike_dn_flag_aliasing() {
     // write aliasing one cell, exactly the MixedAtomicPlain pattern below.
     // With the counter on its own `addr.dn` cell the same kernel is clean.
     let _g = locked();
-    let s = sched();
-    let items: Vec<u32> = (0..2).collect();
 
     // aliased: lane 0 stages cell 0, lane 1 atomics the same cell
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
-    let report = checked(|| {
-        s.launch_thread_per_item(
-            &items,
-            |it, _m| {
-                if it == 0 {
-                    store.borrow_mut().stage(0, 1);
-                } else {
-                    store.borrow_mut().atomic_exchange(0, 1);
-                }
-            },
-            |_| store.borrow_mut().flush(),
-        );
-    });
+    let report = stage_then_atomic(0);
     assert_eq!(report.count_of(HazardKind::MixedAtomicPlain), 1);
 
     // dedicated: the atomic lands on its own cell — no hazard
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 8]));
-    let report = checked(|| {
-        s.launch_thread_per_item(
-            &items,
-            |it, _m| {
-                if it == 0 {
-                    store.borrow_mut().stage(0, 1);
-                } else {
-                    store.borrow_mut().atomic_exchange(1, 1);
-                }
-            },
-            |_| store.borrow_mut().flush(),
-        );
-    });
+    let report = stage_then_atomic(1);
     assert!(report.is_clean(), "{}", report.render());
 }
 
@@ -430,17 +441,16 @@ fn installed_checker_is_neutral_for_results() {
 #[test]
 fn hazard_cap_suppresses_but_keeps_counting() {
     let _g = locked();
-    let s = sched();
-    let store = RefCell::new(DeferredStore::new(vec![0u32; 64]));
+    let store = shared_store(64);
     let items: Vec<u32> = (0..64).collect();
     install(CheckerConfig { max_hazards: 2 });
-    s.launch_thread_per_item(
+    launch_threads(
         &items,
-        |it, _m| {
+        |it| {
             // every pair of lanes races on its own cell: 32 distinct races
-            store.borrow_mut().stage((it / 2) as usize, it);
+            store.lock().unwrap().stage((it / 2) as usize, it);
         },
-        |_| store.borrow_mut().flush(),
+        || store.lock().unwrap().flush(),
     );
     let report = uninstall().unwrap();
     assert_eq!(report.count_of(HazardKind::WaveWriteRace), 32);
