@@ -8,31 +8,50 @@
 //! CSR neighbour order, GVE-LPA's strict pick — so the argmax is one
 //! strictly-greater scan over the distinct labels seen.
 //!
-//! **Schedule.** An iteration's candidates are shuffled
-//! (`seq::shuffle_candidates`) and cut into consecutive blocks
-//! of [`SWEEP_BLOCK`] candidates. Every pick in a block reads the labels
-//! as of the block's start (Jacobi within a block), and the block's moves
-//! are stored before the next block starts (Gauss–Seidel across blocks):
-//! the simulator's wave snapshot with deferred stores, at a fixed block
-//! size. [`crate::lpa_seq`] is the one-thread definition of the same
-//! schedule.
+//! **Schedule.** An iteration's candidates are shuffled and cut into
+//! consecutive blocks of [`SWEEP_BLOCK`] candidates. Every pick in a
+//! block reads the labels as of the block's start (Jacobi within a
+//! block), and the block's moves are stored before the next block starts
+//! (Gauss–Seidel across blocks): the simulator's wave snapshot with
+//! deferred stores, at a fixed block size. [`crate::lpa_seq`] is the
+//! one-thread definition of the same schedule, and the shuffle is the one
+//! `seq::shuffle_candidates` draws, word for word.
 //!
-//! **Lanes.** Each thread of the run (lane 0 is the calling thread) owns
-//! a contiguous slice of the ascending candidate list and counting-sorts
-//! it by block, so it handles each block's members in ascending id order
-//! (order within a block cannot change a result). Each block runs in two
-//! phases split by a barrier. *Compute* picks each member's label, pushes
-//! its move to a lane-local list and clears the mover's neighbours'
-//! `processed` flags. *Commit* stores the movers' labels and marks the
-//! next block's members processed. Labels are only read during compute
-//! and only written during commit, flags are only cleared during compute
-//! and only set during commit, and every store is idempotent, so nothing
-//! depends on which lane handles a vertex or in what order: labels and ΔN
-//! are bit-identical at any `--threads N`. The workers are spawned once
-//! per run and park on the barrier between iterations.
+//! **Lanes.** Each thread of the run (lane 0, the lead, is the calling
+//! thread) runs the iteration's prologue alongside the others, in phases
+//! split by barriers:
+//!
+//! 1. *Filter*: each lane collects the candidates of an equal share of
+//!    the vertices, ascending.
+//! 2. The lead sizes the iteration's buffers to the total.
+//! 3. *Place*: each lane copies its candidates to their offset in the
+//!    ascending list (a prefix sum of the lower lanes' counts), and takes
+//!    an equal share of the shuffle's ChaCha8 words (`seq::shuffle_words`,
+//!    positioned with `set_word_pos`). The workers store theirs; the
+//!    lead decodes the first share into swap indices straight from the
+//!    stream (`seq::decode_draws`).
+//! 4. The lead decodes the stored words and applies the swaps
+//!    backwards, which leaves each candidate's shuffled position, and so
+//!    its block.
+//!
+//! Then each lane owns a contiguous slice of the ascending candidate list
+//! (an equal candidate count) and counting-sorts it by block, so it
+//! handles each block's members in ascending id order (order within a
+//! block cannot change a result). Each block runs in two phases split by
+//! a barrier. *Compute* picks each member's label, pushes its move to a
+//! lane-local list and clears the mover's neighbours' `processed` flags.
+//! *Commit* stores the movers' labels and marks the next block's members
+//! processed. Labels are only read during compute and only written
+//! during commit, flags are only cleared during compute and only set
+//! during commit, and every store is idempotent, so nothing depends on
+//! which lane handles a vertex or in what order: labels and ΔN are
+//! bit-identical at any `--threads N`. The workers are spawned once per
+//! run, each pinned to a CPU of its own when there are enough (see
+//! `placement`), and park on the barrier between iterations.
 
 use crate::hostprof::{HostProfData, RunProf, SpanKind, ThreadProf};
-use crate::seq::{shuffle_candidates, SWEEP_BLOCK};
+use crate::placement;
+use crate::seq::{decode_draws, shuffle_word_budget, shuffle_words, SWEEP_BLOCK};
 use nulpa_graph::{Csr, VertexId};
 use nulpa_hashtab::HashValue;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -124,8 +143,8 @@ impl<V: HashValue> ScratchPad<V> {
 /// How long a barrier waiter spins (yielding between rounds) before it
 /// parks. Waking a parked lane took 0.5–1.5 ms on a 2-vCPU KVM guest,
 /// longer than most imbalances between lanes, so a spin of about that
-/// length keeps lanes off the slow path without burning a core on a long
-/// serial prologue.
+/// length keeps lanes off the slow path without burning a core through a
+/// long serial step of the lead's.
 const SPIN_LIMIT: Duration = Duration::from_millis(1);
 
 /// Spin-then-park barrier over the lanes of one run: a waiter spins on
@@ -229,29 +248,43 @@ impl Drop for AbandonOnPanic<'_> {
     }
 }
 
-/// One iteration's read-only inputs, published by the lead thread while
-/// the workers are parked.
+/// One iteration's inputs and prologue buffers. The lead resizes them
+/// while no lane holds the lock; the lanes fill them through relaxed
+/// atomic stores at disjoint indices, and a barrier lies between every
+/// store and the loads that read it (see `LaneBarrier::wait`).
 #[derive(Default)]
 struct Job {
     iter: u32,
     pick_less: bool,
+    pruning: bool,
     stop: bool,
     /// The ascending candidate list.
-    cands: Vec<VertexId>,
-    /// `block[a]`: the block of `cands[a]`, i.e. its position in the
-    /// shuffled candidate list divided by [`SWEEP_BLOCK`].
-    block: Vec<u32>,
+    cands: Vec<AtomicU32>,
+    /// The first `m` words of the shuffle stream, then the swap indices
+    /// decoded from them.
+    swaps: Vec<AtomicU32>,
+    /// The words of the shuffle stream after those in `swaps`, then `pos[a]`:
+    /// the position of `cands[a]` in the shuffled candidate list, whose
+    /// block is `pos[a] / SWEEP_BLOCK`.
+    pos: Vec<AtomicU32>,
 }
 
-/// State every lane reads, plus the iteration's move count.
+/// State every lane reads, plus the iteration's counters.
 struct Shared<'a> {
     g: &'a Csr,
     labels: &'a [AtomicU32],
     processed: &'a [AtomicU8],
     barrier: LaneBarrier,
     job: RwLock<Job>,
+    /// Candidates each lane's filter found in its vertex range.
+    filtered: Vec<AtomicUsize>,
     /// Moves committed this iteration, summed over the lanes.
     moved: AtomicUsize,
+}
+
+/// Lane `id`'s share `lo..hi` of `0..len`, in equal parts.
+fn share(len: usize, id: usize, lanes: usize) -> (usize, usize) {
+    (id * len / lanes, (id + 1) * len / lanes)
 }
 
 /// One thread's sweep state.
@@ -259,9 +292,9 @@ struct Lane<V> {
     id: usize,
     scratch: ScratchPad<V>,
     prof: ThreadProf,
-    /// This lane's members of the current iteration, grouped by block
-    /// and ascending within a block; block `b` is
-    /// `items[starts[b]..starts[b + 1]]`.
+    /// First this lane's filtered candidates, then its members of the
+    /// current iteration, grouped by block and ascending within a
+    /// block; block `b` is `items[starts[b]..starts[b + 1]]`.
     items: Vec<VertexId>,
     starts: Vec<usize>,
     moves: Vec<(VertexId, VertexId)>,
@@ -279,23 +312,132 @@ impl<V: HashValue> Lane<V> {
         }
     }
 
-    /// Worker loop: wait for the lead to publish an iteration, sweep
-    /// this lane's share of it, repeat until told to stop.
+    /// Worker loop: wait for the lead to publish an iteration, run this
+    /// lane's part of it, repeat until told to stop.
     fn serve(&mut self, sh: &Shared<'_>) {
         let _abandon = AbandonOnPanic(&sh.barrier);
         loop {
             sh.barrier.wait();
-            {
-                let job = sh.job.read().expect("a sweep lane panicked");
-                if job.stop {
-                    return;
-                }
-                self.sweep(sh, &job);
+            if self.iteration(sh).is_none() {
+                return;
             }
-            // Released the job first, so the lead's next write never
-            // waits on a reader.
-            sh.barrier.wait();
         }
+    }
+
+    /// This lane's part of the published iteration, from the filter to
+    /// the closing barrier; the lead (lane 0) also runs the two serial
+    /// steps. Returns the candidate count and the lane's commit time,
+    /// or `None` when the job says stop.
+    ///
+    /// Every lane filters a vertex range; the lead sizes the buffers to
+    /// the total; every lane copies its candidates to their offset in
+    /// the ascending list and draws its share of the shuffle's words;
+    /// the lead turns the words into each candidate's shuffled position;
+    /// then the lanes sweep. No lane holds the job's lock across the
+    /// lead's resize or the closing barrier.
+    fn iteration(&mut self, sh: &Shared<'_>) -> Option<(usize, u64)> {
+        let lead = self.id == 0;
+        {
+            let job = sh.job.read().expect("a sweep lane panicked");
+            if job.stop {
+                return None;
+            }
+            self.filter(sh, job.pruning);
+        }
+        sh.barrier.wait();
+        if lead {
+            let m = sh.filtered.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+            let job = &mut *sh.job.write().expect("a sweep lane panicked");
+            for buf in [&mut job.cands, &mut job.swaps, &mut job.pos] {
+                buf.resize_with(m, AtomicU32::default);
+            }
+        }
+        sh.barrier.wait();
+        let job = sh.job.read().expect("a sweep lane panicked");
+        let m = job.cands.len();
+        if m == 0 {
+            return Some((0, 0));
+        }
+        let decoded = self.place(sh, &job);
+        sh.barrier.wait();
+        if lead {
+            shuffle_positions(&job, sh.barrier.lanes, decoded);
+        }
+        sh.barrier.wait();
+        let commit_ns = self.sweep(sh, &job);
+        // Released the job first, so the lead's next write never waits
+        // on a reader.
+        drop(job);
+        sh.barrier.wait();
+        Some((m, commit_ns))
+    }
+
+    /// Collect the candidates among this lane's share of the vertices,
+    /// ascending, into `items`, and publish their count.
+    ///
+    /// Isolated vertices start marked processed, so the pruned filter
+    /// reads the flags alone: branch-free within a 64-flag chunk,
+    /// because the flags are too irregular to predict, and skipping
+    /// chunks without an unprocessed vertex, which late sweeps and
+    /// dynamic updates consist mostly of.
+    fn filter(&mut self, sh: &Shared<'_>, pruning: bool) {
+        let flags = sh.processed;
+        let (c0, c1) = share(flags.len().div_ceil(64), self.id, sh.barrier.lanes);
+        self.items.clear();
+        let mut ids = [0 as VertexId; 64];
+        for (c, chunk) in flags.chunks(64).enumerate().take(c1).skip(c0) {
+            let base = c * 64;
+            if !pruning {
+                self.items.extend(
+                    (base..base + chunk.len())
+                        .map(|v| v as VertexId)
+                        .filter(|&v| sh.g.degree(v) > 0),
+                );
+                continue;
+            }
+            if chunk.iter().all(|f| f.load(Ordering::Relaxed) != 0) {
+                continue;
+            }
+            let mut k = 0;
+            for (i, f) in chunk.iter().enumerate() {
+                ids[k] = (base + i) as VertexId;
+                k += (f.load(Ordering::Relaxed) == 0) as usize;
+            }
+            self.items.extend_from_slice(&ids[..k]);
+        }
+        sh.filtered[self.id].store(self.items.len(), Ordering::Relaxed);
+    }
+
+    /// Copy this lane's candidates to their place in the ascending list
+    /// (after every lower lane's), and take this lane's equal share of
+    /// the shuffle's words. A worker stores its words: word `p` goes to
+    /// `swaps[p]`, or past the end of `swaps` to `pos[p - m]`. The lead's
+    /// share comes first, and the lead decodes it straight from the
+    /// stream, which measured little dearer than drawing the words; it
+    /// returns the draws decoded. Returns 0 on a worker.
+    fn place(&self, sh: &Shared<'_>, job: &Job) -> usize {
+        let offset: usize = sh.filtered[..self.id]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum();
+        for (slot, &v) in job.cands[offset..].iter().zip(&self.items) {
+            slot.store(v, Ordering::Relaxed);
+        }
+        let m = job.cands.len();
+        let (lo, hi) = share(shuffle_word_budget(m), self.id, sh.barrier.lanes);
+        if self.id == 0 {
+            let mut d = 0;
+            let words = shuffle_words(job.iter, 0).take(hi);
+            decode_draws(m, &mut d, words, put_swap(&job.swaps));
+            return d;
+        }
+        let slots = job.swaps[lo.min(m)..hi.min(m)]
+            .iter()
+            .chain(&job.pos[lo.max(m) - m..hi.max(m) - m]);
+        for (slot, w) in slots.zip(shuffle_words(job.iter, lo)) {
+            slot.store(w, Ordering::Relaxed);
+        }
+        0
     }
 
     /// Sweep this lane's share of one iteration, block by block, and add
@@ -310,6 +452,9 @@ impl<V: HashValue> Lane<V> {
     /// (and label stores) and clears are thus always split by a barrier,
     /// and the flags end exactly as if each block were marked, picked,
     /// stored and cleared in turn.
+    // Kept out of `iteration`: inlined there, its pick loop compiled
+    // slower (uk-2002@0.004 at one thread: 12 of 12 runs ≈10% slower).
+    #[inline(never)]
     fn sweep(&mut self, sh: &Shared<'_>, job: &Job) -> u64 {
         let Lane {
             id,
@@ -323,25 +468,26 @@ impl<V: HashValue> Lane<V> {
         // block, so each block's members come out in ascending id order.
         let m = job.cands.len();
         let lanes = sh.barrier.lanes;
-        let (lo, hi) = (*id * m / lanes, (*id + 1) * m / lanes);
+        let (lo, hi) = share(m, *id, lanes);
         let blocks = m.div_ceil(SWEEP_BLOCK);
+        let block_of = |a: usize| job.pos[a].load(Ordering::Relaxed) as usize / SWEEP_BLOCK;
         starts.clear();
         if lanes == 1 {
             // The only lane owns every block whole.
             starts.extend((0..=blocks).map(|b| (b * SWEEP_BLOCK).min(m)));
         } else {
             starts.resize(blocks + 1, 0);
-            for &b in &job.block[lo..hi] {
-                starts[b as usize + 1] += 1;
+            for a in lo..hi {
+                starts[block_of(a) + 1] += 1;
             }
             for b in 0..blocks {
                 starts[b + 1] += starts[b];
             }
         }
         items.resize(hi - lo, 0);
-        for (&v, &b) in job.cands[lo..hi].iter().zip(&job.block[lo..hi]) {
-            let next = &mut starts[b as usize];
-            items[*next] = v;
+        for a in lo..hi {
+            let next = &mut starts[block_of(a)];
+            items[*next] = job.cands[a].load(Ordering::Relaxed);
             *next += 1;
         }
         // Each `starts[b]` now holds block `b`'s end, its successor's start.
@@ -402,66 +548,107 @@ impl<V: HashValue> Lane<V> {
     }
 }
 
+/// Where the decode of draw `d` puts its swap index: over `swaps[d]`,
+/// which holds word `d` of the stream or a word the decode has passed.
+fn put_swap(swaps: &[AtomicU32]) -> impl Fn(usize, u32) + Copy + '_ {
+    |d, j| swaps[d].store(j, Ordering::Relaxed)
+}
+
+/// The lead's serial prologue step. From draw `d` on (the draws the lead
+/// decoded from its own share of the words), decode the words the
+/// workers drew into swap indices (`seq::decode_draws`, continuing the
+/// stream serially if they run out), then turn the indices into each
+/// candidate's position in the order `seq::shuffle_candidates` draws.
+///
+/// The shuffle is the product of its swaps in draw order, so its inverse
+/// is the same swaps in reverse order: applied backwards to the identity,
+/// they leave `pos[a]`, the shuffled position of candidate `a`, with no
+/// separate inversion pass.
+fn shuffle_positions(job: &Job, lanes: usize, mut d: usize) {
+    let (swaps, pos) = (&job.swaps, &job.pos);
+    let m = swaps.len();
+    let budget = shuffle_word_budget(m);
+    let from = share(budget, 0, lanes).1;
+    let word = |w: &AtomicU32| w.load(Ordering::Relaxed);
+    let stored = swaps[from.min(m)..budget.min(m)].iter().map(word);
+    decode_draws(m, &mut d, stored, put_swap(swaps));
+    let stored = pos[from.max(m) - m..budget.max(m) - m].iter().map(word);
+    decode_draws(m, &mut d, stored, put_swap(swaps));
+    if d + 1 < m {
+        decode_draws(m, &mut d, shuffle_words(job.iter, budget), put_swap(swaps));
+    }
+    for (a, slot) in pos.iter().enumerate() {
+        slot.store(a as u32, Ordering::Relaxed);
+    }
+    for d in (0..m.saturating_sub(1)).rev() {
+        let (i, j) = (m - 1 - d, word(&swaps[d]) as usize);
+        let (x, y) = (word(&pos[i]), word(&pos[j]));
+        pos[i].store(y, Ordering::Relaxed);
+        pos[j].store(x, Ordering::Relaxed);
+    }
+}
+
 /// The lead's handle on a running sweep: one call per iteration.
 pub(crate) struct Sweep<'s, 'a, V> {
     shared: &'s Shared<'a>,
     lead: Lane<V>,
     runprof: RunProf,
-    /// Shuffle scratch: the shuffled order of the candidate indices.
-    order: Vec<u32>,
+}
+
+/// What one swept iteration did.
+pub(crate) struct Swept {
+    /// Candidates swept.
+    pub(crate) active: usize,
+    /// Label moves committed (ΔN before Cross-Check).
+    pub(crate) changed: usize,
 }
 
 impl<V: HashValue> Sweep<'_, '_, V> {
-    /// One LPA iteration over the ascending `candidates` (lent to the
-    /// lanes for the iteration); returns ΔN.
+    /// One LPA iteration: filter the candidates (the unprocessed
+    /// vertices when `pruning`, else every vertex with an edge), shuffle
+    /// them into blocks and sweep them. `None` when there was no
+    /// candidate, and so nothing was swept.
     pub(crate) fn run_iteration(
         &mut self,
         iter: u32,
-        candidates: &mut Vec<VertexId>,
+        pruning: bool,
         pick_less: bool,
-    ) -> usize {
+    ) -> Option<Swept> {
         let sh = self.shared;
         {
             let mut job = sh.job.write().expect("a sweep lane panicked");
             job.iter = iter;
             job.pick_less = pick_less;
-            // Shuffling the indices draws the same permutation as
-            // shuffling the candidates themselves; invert it into blocks.
-            let m = candidates.len();
-            self.order.clear();
-            self.order.extend(0..m as u32);
-            shuffle_candidates(&mut self.order, iter);
-            job.block.resize(m, 0);
-            for (pos, &a) in self.order.iter().enumerate() {
-                job.block[a as usize] = (pos / SWEEP_BLOCK) as u32;
-            }
-            std::mem::swap(&mut job.cands, candidates);
+            job.pruning = pruning;
         }
         sh.barrier.wait();
-        let commit_ns = {
-            let job = sh.job.read().expect("a sweep lane panicked");
-            self.lead.sweep(sh, &job)
-        };
-        sh.barrier.wait();
-        let mut job = sh.job.write().expect("a sweep lane panicked");
-        std::mem::swap(&mut job.cands, candidates);
-        drop(job);
-        // Every lane added its moves before the barrier above.
+        let (active, commit_ns) = self
+            .lead
+            .iteration(sh)
+            .expect("the lead never stops itself");
+        if active == 0 {
+            return None;
+        }
+        // Every lane added its moves before the closing barrier.
         let changed = sh.moved.swap(0, Ordering::Relaxed);
         self.runprof.record_iter(
             iter,
-            candidates.len().div_ceil(SWEEP_BLOCK) as u32,
-            candidates.len() as u64,
+            active.div_ceil(SWEEP_BLOCK) as u32,
+            active as u64,
             changed as u64,
             commit_ns,
         );
-        changed
+        Some(Swept { active, changed })
     }
 }
 
 /// Start the run's lanes over `labels`/`processed`, hand the lead's
 /// [`Sweep`] to `body`, then stop the workers. Returns `body`'s result and the host profile
 /// (`None` unless `profile` is set).
+///
+/// When every lane can have an allowed CPU of its own, each worker is
+/// pinned to one other than the lead's (`placement::worker_plan`); the
+/// lead stays where it is.
 pub(crate) fn with_lanes<V: HashValue, R>(
     g: &Csr,
     labels: &[AtomicU32],
@@ -474,12 +661,14 @@ pub(crate) fn with_lanes<V: HashValue, R>(
     let n = g.num_vertices();
     let runprof = RunProf::new(profile);
     let mut recorders = runprof.thread_recorders(lanes);
+    let cpus = placement::worker_plan(lanes);
     let shared = Shared {
         g,
         labels,
         processed,
         barrier: LaneBarrier::new(lanes),
         job: RwLock::new(Job::default()),
+        filtered: (0..lanes).map(|_| AtomicUsize::new(0)).collect(),
         moved: AtomicUsize::new(0),
     };
     let sh = &shared;
@@ -487,26 +676,34 @@ pub(crate) fn with_lanes<V: HashValue, R>(
         let workers: Vec<_> = recorders
             .drain(1..)
             .enumerate()
-            .map(|(k, tp)| {
+            .map(|(k, mut tp)| {
+                let cpu = cpus.as_ref().map(|c| c[k]);
                 s.spawn(move || {
+                    if let Some(cpu) = cpu {
+                        // A failed call leaves the worker unpinned.
+                        placement::pin_current_thread(cpu);
+                    }
+                    tp.start_lane();
                     let mut lane = Lane::<V>::new(k + 1, n, tp);
                     lane.serve(sh);
+                    lane.prof.finish_lane();
                     lane.prof
                 })
             })
             .collect();
-        let lead = Lane::new(0, n, recorders.pop().expect("one recorder per lane"));
+        let mut lead_prof = recorders.pop().expect("one recorder per lane");
+        lead_prof.start_lane();
         let mut sweep = Sweep {
             shared: sh,
-            lead,
+            lead: Lane::new(0, n, lead_prof),
             runprof,
-            order: Vec::new(),
         };
         let abandon = AbandonOnPanic(&sh.barrier);
         let r = body(&mut sweep);
         sh.job.write().expect("a sweep lane panicked").stop = true;
         sh.barrier.wait();
         drop(abandon);
+        sweep.lead.prof.finish_lane();
         let mut profs = vec![sweep.lead.prof];
         profs.extend(
             workers

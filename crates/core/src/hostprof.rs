@@ -3,14 +3,15 @@
 //! The sweep (`crates/core/src/fastpath.rs`) runs every block in two
 //! phases split by a barrier: each lane computes its members' picks,
 //! then commits its movers. Where multi-core time actually goes —
-//! thread imbalance, barrier waits, serial prologue — is invisible from
-//! the outside. This module is the measurement side: a per-thread
-//! recorder threaded through the lane loop that captures
+//! thread imbalance, barrier waits, the per-iteration prologue — is
+//! invisible from the outside. This module is the measurement side: a
+//! per-thread recorder threaded through the lane loop that captures
 //!
 //! * **per-thread span timelines** — one `compute` and one `commit` span
 //!   per (thread, block), at every thread count, in nanoseconds since the
 //!   run started, renderable as a Chrome trace; the gaps between a
-//!   thread's spans are barrier waits and the lead's serial prologue;
+//!   thread's spans are barrier waits and the iteration prologue, which
+//!   every lane runs and whose decode and swaps the lead runs alone;
 //! * **per-bucket work counters** — vertices and edges scanned, split by
 //!   the low/mid/high degree buckets at the default thresholds;
 //! * **per-iteration schedule statistics** — blocks, candidates and
@@ -23,6 +24,7 @@
 //! rendering, and the regression gate live in `nulpa-telemetry`'s
 //! `hostprof` module; this side stays plain data.
 
+use crate::placement;
 use std::time::Instant;
 
 /// Human-readable names of the three degree buckets, indexable by the
@@ -79,7 +81,8 @@ pub struct SpanRec {
 }
 
 /// Everything one thread recorded over a run. Thread 0 is the lead
-/// thread, which also runs the serial prologue of every iteration.
+/// thread, which also runs the serial steps of every iteration's
+/// prologue (the shuffle's decode and swaps) and Cross-Check.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThreadProfData {
     /// Span timeline in emission order (monotone `start_ns`).
@@ -88,6 +91,13 @@ pub struct ThreadProfData {
     pub buckets: [BucketCounters; 3],
     /// Total time inside spans, in nanoseconds.
     pub busy_ns: u64,
+    /// The CPU the thread ran on when its lane finished (`None` when the
+    /// host does not report it).
+    pub cpu: Option<u32>,
+    /// Time the thread spent runnable but waiting for a CPU while its
+    /// lane ran, in nanoseconds (0 when the host does not report it). A
+    /// wait near the thread's busy time means it shared its CPU.
+    pub runq_wait_ns: u64,
 }
 
 /// Schedule statistics for one committed iteration. Every field except
@@ -200,10 +210,33 @@ pub(crate) struct ThreadProf {
     enabled: bool,
     t0: Instant,
     span_start: u64,
+    /// Run-queue wait when the lane started, if readable.
+    runq_start: Option<u64>,
     data: ThreadProfData,
 }
 
 impl ThreadProf {
+    /// Note where the lane starts, on the thread that runs it (no-op when
+    /// disabled).
+    pub(crate) fn start_lane(&mut self) {
+        if self.enabled {
+            self.runq_start = placement::runq_wait_ns();
+        }
+    }
+
+    /// Record the lane's CPU and its run-queue wait since
+    /// [`Self::start_lane`], on the thread that ran it (no-op when
+    /// disabled).
+    pub(crate) fn finish_lane(&mut self) {
+        if self.enabled {
+            self.data.cpu = placement::current_cpu();
+            self.data.runq_wait_ns = match (self.runq_start, placement::runq_wait_ns()) {
+                (Some(a), Some(b)) => b.saturating_sub(a),
+                _ => 0,
+            };
+        }
+    }
+
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
@@ -270,6 +303,7 @@ impl RunProf {
                 enabled: self.enabled,
                 t0: self.t0,
                 span_start: 0,
+                runq_start: None,
                 data: ThreadProfData::default(),
             })
             .collect()

@@ -30,12 +30,12 @@
 pub mod addr;
 pub mod coarsen;
 pub mod config;
-// The only unsafe code in this crate lives in these two modules
-// (audited, allowlisted in check/unsafe_allowlist.toml and enforced by
-// `nulpa check`): `disjoint` hands out non-overlapping mutable table
-// regions from one buffer, and `gpu` takes such disjoint per-vertex
-// regions from it (vertex-disjoint by CSR construction) for its parallel
-// table writes.
+// The only unsafe code in this crate lives in these two modules and in
+// `placement` below (audited, allowlisted in check/unsafe_allowlist.toml
+// and enforced by `nulpa check`): `disjoint` hands out non-overlapping
+// mutable table regions from one buffer, and `gpu` takes such disjoint
+// per-vertex regions from it (vertex-disjoint by CSR construction) for
+// its parallel table writes.
 #[allow(unsafe_code)]
 pub mod disjoint;
 pub mod dynamic;
@@ -48,6 +48,10 @@ pub mod linkpred;
 pub mod native;
 pub mod observe;
 pub mod partition;
+// Allowlisted like `disjoint` and `gpu`: the three glibc calls that pin
+// sweep workers to CPUs, each acting on the calling thread only.
+#[allow(unsafe_code)]
+mod placement;
 pub mod pulp;
 pub mod result;
 pub mod seq;

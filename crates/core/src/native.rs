@@ -109,26 +109,6 @@ fn run(
     }
 }
 
-/// Replace `buf`'s contents with the unprocessed vertices, ascending.
-/// Branch-free within a 64-flag chunk, because the flags are too
-/// irregular to predict, and chunks without an unprocessed vertex are
-/// skipped: late sweeps and dynamic updates consist mostly of those.
-fn unprocessed_vertices(flags: &[AtomicU8], buf: &mut Vec<VertexId>) {
-    buf.clear();
-    let mut ids = [0 as VertexId; 64];
-    for (c, chunk) in flags.chunks(64).enumerate() {
-        if chunk.iter().all(|f| f.load(Ordering::Relaxed) != 0) {
-            continue;
-        }
-        let mut k = 0;
-        for (i, f) in chunk.iter().enumerate() {
-            ids[k] = (c * 64 + i) as VertexId;
-            k += (f.load(Ordering::Relaxed) == 0) as usize;
-        }
-        buf.extend_from_slice(&ids[..k]);
-    }
-}
-
 fn lpa_native_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
@@ -169,7 +149,6 @@ fn lpa_native_typed<V: HashValue>(
         threads,
         hostprof.is_some(),
         |sweep| {
-            let mut candidates: Vec<VertexId> = Vec::new();
             let mut changed_per_iter = Vec::new();
             let mut converged = false;
             let mut iterations = 0;
@@ -177,19 +156,6 @@ fn lpa_native_typed<V: HashValue>(
             let now_us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
             for iter in 0..config.max_iterations {
-                if config.pruning {
-                    unprocessed_vertices(&processed, &mut candidates);
-                } else {
-                    candidates.clear();
-                    candidates.extend((0..n as VertexId).filter(|&v| g.degree(v) > 0));
-                }
-                if candidates.is_empty() {
-                    // Nothing can change, so the run is converged without
-                    // spending (or recording) a sweep.
-                    converged = true;
-                    break;
-                }
-                iterations = iter + 1;
                 let pick_less = config.swap_mode.pick_less_on(iter);
                 let prev = config.swap_mode.cross_check_on(iter).then(|| {
                     labels
@@ -197,15 +163,18 @@ fn lpa_native_typed<V: HashValue>(
                         .map(|l| l.load(Ordering::Relaxed))
                         .collect::<Vec<_>>()
                 });
+                let start_us = now_us(&t0);
+                let Some(swept) = sweep.run_iteration(iter, config.pruning, pick_less) else {
+                    // No candidate: nothing can change, so the run is
+                    // converged without recording a sweep.
+                    converged = true;
+                    break;
+                };
+                iterations = iter + 1;
+                let (active, mut changed) = (swept.active, swept.changed);
                 if sink.is_enabled() {
-                    sink.span_begin(
-                        track::HOST,
-                        "iteration",
-                        now_us(&t0),
-                        &[("iter", iter.into())],
-                    );
+                    sink.span_begin(track::HOST, "iteration", start_us, &[("iter", iter.into())]);
                 }
-                let mut changed = sweep.run_iteration(iter, &mut candidates, pick_less);
 
                 // Cross-Check pass (paper §4.1): sequential over changed
                 // vertices, so a revert is visible to the partner's check
@@ -227,19 +196,19 @@ fn lpa_native_typed<V: HashValue>(
                 if obs.is_enabled() {
                     let snapshot: Vec<VertexId> =
                         labels.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-                    obs.on_iteration(iter, changed, candidates.len(), n, &snapshot);
+                    obs.on_iteration(iter, changed, active, n, &snapshot);
                 }
                 if sink.is_enabled() {
                     let ts = now_us(&t0);
                     sink.counter("dN", ts, changed as f64);
-                    sink.counter("active_vertices", ts, candidates.len() as f64);
+                    sink.counter("active_vertices", ts, active as f64);
                     sink.span_end(
                         track::HOST,
                         "iteration",
                         ts,
                         &[
                             ("iter", iter.into()),
-                            ("active", candidates.len().into()),
+                            ("active", active.into()),
                             ("dN", changed.into()),
                             ("pick_less", pick_less.into()),
                         ],
@@ -433,6 +402,71 @@ mod tests {
         assert_eq!(r.iterations, 0);
         assert!(r.changed_per_iter.is_empty());
         assert_eq!(r.labels, settled.labels);
+    }
+
+    /// A kmer stand-in whose first iteration sweeps more than 2¹⁴
+    /// candidates, so every lane draws and places thousands of words.
+    fn big_standin() -> Csr {
+        let g = nulpa_graph::datasets::spec_by_name("kmer_V1r")
+            .expect("kmer_V1r is a Table 1 stand-in")
+            .generate(0.0001)
+            .graph;
+        assert!(g.vertices().filter(|&v| g.degree(v) > 0).count() > 1 << 14);
+        g
+    }
+
+    #[test]
+    fn native_matches_seq_on_a_big_standin_at_any_lane_count() {
+        let g = big_standin();
+        for pruning in [true, false] {
+            let cfg = cfg().with_pruning(pruning).with_max_iterations(8);
+            let seq = lpa_seq(&g, &cfg);
+            for threads in [1, 2, 3, 4, 7] {
+                let r = lpa_native(&g, &cfg.with_threads(threads));
+                let ctx = format!("pruning={pruning} threads={threads}");
+                assert_eq!(r.labels, seq.labels, "{ctx}");
+                assert_eq!(r.changed_per_iter, seq.changed_per_iter, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_warm_start_matches_seq_at_any_lane_count() {
+        // Settled labels, then a seed of every 97th vertex plus the last
+        // 2,000: the lanes' vertex ranges hold very different candidate
+        // counts.
+        let g = big_standin();
+        let n = g.num_vertices() as VertexId;
+        let settled = lpa_native(&g, &cfg().with_max_iterations(4)).labels;
+        let seed: Vec<VertexId> = g
+            .vertices()
+            .filter(|&v| v % 97 == 0 || v + 2_000 >= n)
+            .collect();
+        let seq = crate::seq::lpa_seq_from_state(&g, &cfg(), settled.clone(), &seed);
+        assert!(seq.iterations > 1, "the warm start must sweep");
+        for threads in [1, 2, 3, 4, 7] {
+            let r = lpa_native_from_state(&g, &cfg().with_threads(threads), settled.clone(), &seed);
+            assert_eq!(r.labels, seq.labels, "threads={threads}");
+            assert_eq!(
+                r.changed_per_iter, seq.changed_per_iter,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn profiled_lanes_report_where_they_ran() {
+        let g = erdos_renyi(300, 900, 7);
+        for threads in [1, 2, 4] {
+            let (_, prof) = lpa_native_hostprof(&g, &cfg().with_threads(threads));
+            let prof = prof.expect("a profiled run returns a profile");
+            assert_eq!(prof.per_thread.len(), threads);
+            assert!(
+                prof.per_thread.iter().all(|t| t.cpu.is_some()),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -35,14 +35,110 @@ pub const SWEEP_BLOCK: usize = 1024;
 /// single label can cascade through the whole graph in one pass, producing
 /// a monster community. A seeded Fisher–Yates shuffle (varied per
 /// iteration) restores the intended behaviour while staying reproducible.
-// `#[inline]` lets the native sweep's per-iteration prologue inline the
-// draw loop whichever codegen unit rustc places this module in.
-#[inline]
+///
+/// The permutation is exactly `SliceRandom::shuffle` over
+/// [`shuffle_stream`]`(iter)`, computed in three stages: draw the first
+/// [`shuffle_word_budget`] words of the stream ([`shuffle_words`]), decode
+/// them into swap indices ([`decode_draws`], continued from the stream if
+/// the words run out), then apply the swaps. The native sweep runs the
+/// same stages with the words drawn on every lane.
 pub(crate) fn shuffle_candidates(candidates: &mut [VertexId], iter: u32) {
-    use rand::seq::SliceRandom;
+    shuffle_staged(candidates, iter, shuffle_word_budget(candidates.len()));
+}
+
+/// [`shuffle_candidates`] with `budget` words drawn ahead.
+fn shuffle_staged(items: &mut [VertexId], iter: u32, budget: usize) {
+    let m = items.len();
+    let mut js = vec![0u32; m.saturating_sub(1)];
+    let mut d = 0;
+    let words: Vec<u32> = shuffle_words(iter, 0).take(budget).collect();
+    decode_draws(m, &mut d, words, |d, j| js[d] = j);
+    if d + 1 < m {
+        decode_draws(m, &mut d, shuffle_words(iter, budget), |d, j| js[d] = j);
+    }
+    for (d, &j) in js.iter().enumerate() {
+        items.swap(m - 1 - d, j as usize);
+    }
+}
+
+/// The ChaCha8 stream iteration `iter`'s shuffle draws from.
+fn shuffle_stream(iter: u32) -> rand_chacha::ChaCha8Rng {
     use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x6c70_6100 + iter as u64);
-    candidates.shuffle(&mut rng);
+    rand_chacha::ChaCha8Rng::seed_from_u64(0x6c70_6100 + iter as u64)
+}
+
+/// Stage 1: the words of iteration `iter`'s shuffle stream from word
+/// `pos` on. Any stretch of the stream can be drawn independently.
+pub(crate) fn shuffle_words(iter: u32, pos: usize) -> impl Iterator<Item = u32> {
+    use rand::RngCore;
+    let mut rng = shuffle_stream(iter);
+    rng.set_word_pos(pos as u128);
+    std::iter::repeat_with(move || rng.next_u32())
+}
+
+/// Words the staged shuffle of `m` candidates draws ahead: the expected
+/// count plus three standard deviations, and never more than `2m`.
+///
+/// A draw with bound `r` in `[2^k, 2^(k+1))` accepts a word with
+/// probability `r / 2^(k+1)`, at least ½, so it takes `2^(k+1) / r` words
+/// on average (variance at most 2). Summed per octave, the harmonic sum
+/// taken as a logarithm, that is ≈1.39 words per draw just above a power
+/// of two and at most ≈1.47 anywhere. A shortfall is drawn from the
+/// stream serially.
+pub(crate) fn shuffle_word_budget(m: usize) -> usize {
+    let mut expected = 0.0;
+    let mut lo = 2usize;
+    while lo <= m {
+        let hi = (2 * lo - 1).min(m);
+        expected += (2 * lo) as f64 * ((hi as f64 + 0.5) / (lo as f64 - 0.5)).ln();
+        lo *= 2;
+    }
+    let margin = 3.0 * (2.0 * m as f64).sqrt() + 32.0;
+    ((expected + margin) as usize).min(2 * m)
+}
+
+/// Stage 2: decode `words` into the swap indices of an `m`-element
+/// Fisher–Yates shuffle, from draw `*d` on; returns the words consumed.
+///
+/// Draw `d` swaps position `m − 1 − d` with `j_d = hi(w · (m − d))` of
+/// the first word `w` whose low half is at most the rejection zone
+/// `((m − d) << lz) − 1`: rand 0.8's `u32::sample_single_inclusive`,
+/// which `gen_index` uses for every bound below 2³². Branch-free:
+/// `put(d, j)` sees every word, and the last call for a draw holds its
+/// accepted index. The next draw's zone is computed before the current
+/// word's verdict, so only the multiply and the compare are serial.
+/// Decoding stops once draw `m − 2` is accepted, so with `put` writing
+/// slot `d` it may overwrite the words it has consumed.
+#[inline]
+pub(crate) fn decode_draws(
+    m: usize,
+    d: &mut usize,
+    words: impl IntoIterator<Item = u32>,
+    mut put: impl FnMut(usize, u32),
+) -> usize {
+    let zone = |r: u32| (r << r.leading_zeros()).wrapping_sub(1);
+    if *d + 1 >= m {
+        return 0;
+    }
+    // The current draw's index, bound (at least 2) and zone.
+    let (mut k, mut r) = (*d, (m - *d) as u32);
+    let mut z = zone(r);
+    let mut used = 0;
+    for w in words {
+        let wide = u64::from(w) * u64::from(r);
+        put(k, (wide >> 32) as u32);
+        used += 1;
+        let next_z = zone(r - 1);
+        let accept = wide as u32 <= z;
+        k += accept as usize;
+        r -= accept as u32;
+        z = if accept { next_z } else { z };
+        if r < 2 {
+            break;
+        }
+    }
+    *d = k;
+    used
 }
 
 /// Run the sequential reference LPA.
@@ -65,10 +161,36 @@ pub fn lpa_seq_observed(
     sink: &mut dyn TraceSink,
     obs: &mut dyn IterObserver,
 ) -> LpaResult {
+    run(g, config, None, sink, obs)
+}
+
+/// [`lpa_seq`] from existing state, as [`crate::lpa_native_from_state`]
+/// runs it: `init_labels` seeds the memberships and only `unprocessed`
+/// starts in the work set. The warm-start oracle of the native backend.
+#[cfg(test)]
+pub(crate) fn lpa_seq_from_state(
+    g: &Csr,
+    config: &LpaConfig,
+    init_labels: Vec<VertexId>,
+    unprocessed: &[VertexId],
+) -> LpaResult {
+    let warm = Some((init_labels, unprocessed));
+    run(g, config, warm, &mut NullSink, &mut NullObserver)
+}
+
+/// Validate `config` and run in its value type; `warm` as in
+/// [`crate::lpa_native_from_state`].
+fn run(
+    g: &Csr,
+    config: &LpaConfig,
+    warm: Option<(Vec<VertexId>, &[VertexId])>,
+    sink: &mut dyn TraceSink,
+    obs: &mut dyn IterObserver,
+) -> LpaResult {
     config.validate().expect("invalid LPA config");
     match config.value_type {
-        ValueType::F32 => lpa_seq_typed::<f32>(g, config, sink, obs),
-        ValueType::F64 => lpa_seq_typed::<f64>(g, config, sink, obs),
+        ValueType::F32 => lpa_seq_typed::<f32>(g, config, warm, sink, obs),
+        ValueType::F64 => lpa_seq_typed::<f64>(g, config, warm, sink, obs),
     }
 }
 
@@ -100,13 +222,23 @@ fn pick<V: HashValue>(g: &Csr, v: VertexId, labels: &[VertexId]) -> Option<Verte
 fn lpa_seq_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
+    warm: Option<(Vec<VertexId>, &[VertexId])>,
     sink: &mut dyn TraceSink,
     obs: &mut dyn IterObserver,
 ) -> LpaResult {
     let n = g.num_vertices();
     let t0 = Instant::now();
-    let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut processed = vec![false; n];
+    let (mut labels, mut processed) = match warm {
+        None => ((0..n as VertexId).collect(), vec![false; n]),
+        Some((init_labels, seed)) => {
+            assert_eq!(init_labels.len(), n, "label length mismatch");
+            let mut processed = vec![true; n];
+            for &v in seed {
+                processed[v as usize] = false;
+            }
+            (init_labels, processed)
+        }
+    };
     let mut changed_per_iter = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
@@ -228,6 +360,76 @@ mod tests {
 
     fn cfg() -> LpaConfig {
         LpaConfig::default()
+    }
+
+    fn stock_shuffle(m: usize, iter: u32) -> Vec<VertexId> {
+        use rand::seq::SliceRandom;
+        let mut v: Vec<VertexId> = (0..m as VertexId).collect();
+        v.shuffle(&mut shuffle_stream(iter));
+        v
+    }
+
+    #[test]
+    fn staged_shuffle_is_the_stock_shuffle() {
+        let mut sizes: Vec<usize> = (0..=2_100).collect();
+        for k in 12..=18 {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for m in sizes {
+            let iter = (m % 7) as u32;
+            let mut v: Vec<VertexId> = (0..m as VertexId).collect();
+            shuffle_candidates(&mut v, iter);
+            assert_eq!(v, stock_shuffle(m, iter), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn staged_shuffle_continues_the_stream_when_the_words_run_out() {
+        for m in [2usize, 3, 5, 100, 1_025, 4_097, 70_000] {
+            for budget in [0, 1, m / 3, m] {
+                let mut v: Vec<VertexId> = (0..m as VertexId).collect();
+                shuffle_staged(&mut v, 3, budget);
+                assert_eq!(v, stock_shuffle(m, 3), "m = {m} budget = {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_word_budget_covers_the_words_a_shuffle_reads() {
+        use rand::seq::SliceRandom;
+        let mut short = 0;
+        for m in (0..3_000).chain([69_000, 65_537, 89_000, 230_614]) {
+            let mut rng = shuffle_stream(m as u32);
+            let mut v: Vec<VertexId> = (0..m as VertexId).collect();
+            v.shuffle(&mut rng);
+            let (used, budget) = (rng.get_word_pos() as usize, shuffle_word_budget(m));
+            assert!(budget <= 2 * m);
+            short += (used > budget) as usize;
+            if m >= 10_000 {
+                // little drawn in vain
+                assert!(budget < used + used / 20, "m = {m}: {budget} for {used}");
+            }
+        }
+        // three standard deviations: about one shuffle in a thousand runs short
+        assert!(short <= 10, "{short} of 3,004 shuffles outran the budget");
+    }
+
+    #[test]
+    fn decode_reports_the_words_it_consumed() {
+        // At m = 2^16 + 1 the first draw's zone rejects almost half the
+        // words, so accepted draws and consumed words part early.
+        let m = (1 << 16) + 1;
+        let words: Vec<u32> = shuffle_words(5, 0).take(2 * m).collect();
+        let mut d = 0;
+        let used = decode_draws(m, &mut d, words.iter().copied(), |_, _| {});
+        assert_eq!(d, m - 1);
+        assert!(used > m && used < 2 * m, "used = {used}");
+        // the stock shuffle reads exactly as many words
+        use rand::seq::SliceRandom;
+        let mut rng = shuffle_stream(5);
+        let mut v: Vec<VertexId> = (0..m as VertexId).collect();
+        v.shuffle(&mut rng);
+        assert_eq!(rng.get_word_pos(), used as u128);
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub struct ThreadReport {
     pub spans: usize,
     /// Span-duration percentiles, nanoseconds.
     pub span_ns: Percentiles,
+    /// The CPU the thread ran on when its lane finished, if known.
+    pub cpu: Option<u32>,
+    /// Time the thread waited on a run queue during the run,
+    /// milliseconds. Near `busy_ms`, the thread shared its CPU.
+    pub runq_wait_ms: f64,
 }
 
 /// Aggregated view of one profiled `lpa_native` run.
@@ -108,6 +113,8 @@ pub fn summarize(graph: &str, data: &HostProfData) -> HostRunReport {
                 utilization: t.busy_ns as f64 / wall_ns as f64,
                 spans: t.spans.len(),
                 span_ns: h.percentiles(),
+                cpu: t.cpu,
+                runq_wait_ms: ms(t.runq_wait_ns),
             }
         })
         .collect();
@@ -126,6 +133,16 @@ pub fn summarize(graph: &str, data: &HostProfData) -> HostRunReport {
     }
 }
 
+impl HostRunReport {
+    /// A CPU that two of the run's threads finished on, if any: those
+    /// lanes took turns on one core instead of running side by side.
+    pub fn shared_cpu(&self) -> Option<u32> {
+        let mut cpus: Vec<u32> = self.per_thread.iter().filter_map(|t| t.cpu).collect();
+        cpus.sort_unstable();
+        cpus.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+}
+
 /// Render reports as the `nulpa profile --host` text tables.
 pub fn render_report(reports: &[HostRunReport]) -> String {
     let mut out = String::new();
@@ -139,21 +156,30 @@ pub fn render_report(reports: &[HostRunReport]) -> String {
             r.imbalance,
             r.repair_rate * 100.0
         ));
-        out.push_str("  thread      busy_ms   util%   spans   p50_us   p95_us   max_us\n");
+        out.push_str(
+            "  thread      busy_ms   util%   spans   p50_us   p95_us   max_us  cpu  runq_ms\n",
+        );
         for t in &r.per_thread {
             let label = if t.tid == 0 {
                 "0 (lead)".to_string()
             } else {
                 t.tid.to_string()
             };
+            let cpu = t.cpu.map_or("-".to_string(), |c| c.to_string());
             out.push_str(&format!(
-                "  {label:<10}{:>9.2}{:>8.1}{:>8}{:>9}{:>9}{:>9}\n",
+                "  {label:<10}{:>9.2}{:>8.1}{:>8}{:>9}{:>9}{:>9}{cpu:>5}{:>9.2}\n",
                 t.busy_ms,
                 t.utilization * 100.0,
                 t.spans,
                 t.span_ns.p50 / 1_000,
                 t.span_ns.p95 / 1_000,
                 t.span_ns.max / 1_000,
+                t.runq_wait_ms,
+            ));
+        }
+        if let Some(cpu) = r.shared_cpu() {
+            out.push_str(&format!(
+                "  warning: lanes shared CPU {cpu}; their times are not a parallel run's\n"
             ));
         }
         out.push_str("  bucket   vertices      edges\n");
@@ -183,14 +209,16 @@ fn report_obj(r: &HostRunReport) -> String {
         .map(|t| {
             format!(
                 "{{\"tid\":{},\"busy_ms\":{},\"utilization\":{},\"spans\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{}}}",
+                 \"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{},\"cpu\":{},\"runq_wait_ms\":{}}}",
                 t.tid,
                 fmt_f64(t.busy_ms),
                 fmt_f64(t.utilization),
                 t.spans,
                 t.span_ns.p50,
                 t.span_ns.p95,
-                t.span_ns.max
+                t.span_ns.max,
+                t.cpu.map_or("null".to_string(), |c| c.to_string()),
+                fmt_f64(t.runq_wait_ms)
             )
         })
         .collect();
@@ -228,7 +256,7 @@ fn report_obj(r: &HostRunReport) -> String {
     format!(
         "{{\"graph\":{},\"threads\":{},\"wall_ms\":{},\"iterations\":{},\
          \"imbalance\":{},\"repair_rate\":{},\"busy_ms_mean\":{},\"cas_retries\":{},\
-         \"per_thread\":[{}],\"buckets\":[{}],\"iters\":[{}]}}",
+         \"shared_cpu\":{},\"per_thread\":[{}],\"buckets\":[{}],\"iters\":[{}]}}",
         escape(&r.graph),
         r.threads,
         fmt_f64(r.wall_ms),
@@ -237,6 +265,7 @@ fn report_obj(r: &HostRunReport) -> String {
         fmt_f64(r.repair_rate),
         fmt_f64(r.busy_ms_mean),
         r.cas_retries,
+        r.shared_cpu().map_or("null".to_string(), |c| c.to_string()),
         threads.join(","),
         buckets.join(","),
         iters.join(",")
@@ -442,6 +471,37 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn lane_placement_is_reported_and_a_shared_cpu_flagged() {
+        let mut data = sample_data();
+        data.per_thread[0].cpu = Some(1);
+        data.per_thread[0].runq_wait_ns = 250_000;
+        data.per_thread[1].cpu = Some(0);
+        let r = summarize("g", &data);
+        assert_eq!(r.per_thread[0].cpu, Some(1));
+        assert!((r.per_thread[0].runq_wait_ms - 0.25).abs() < 1e-12);
+        assert_eq!(r.shared_cpu(), None);
+        let text = render_report(std::slice::from_ref(&r));
+        assert!(
+            text.contains("runq_ms") && !text.contains("shared CPU"),
+            "{text}"
+        );
+        let doc = parse(&report_json("{}", std::slice::from_ref(&r))).unwrap();
+        let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+        let lead = &run.get("per_thread").unwrap().as_arr().unwrap()[0];
+        assert_eq!(lead.get("cpu").unwrap().as_u64(), Some(1));
+
+        data.per_thread[1].cpu = Some(1);
+        let r = summarize("g", &data);
+        assert_eq!(r.shared_cpu(), Some(1));
+        let text = render_report(std::slice::from_ref(&r));
+        assert!(text.contains("lanes shared CPU 1"), "{text}");
+        // an unknown CPU is never taken for a shared one
+        data.per_thread[0].cpu = None;
+        data.per_thread[1].cpu = None;
+        assert_eq!(summarize("g", &data).shared_cpu(), None);
     }
 
     #[test]
