@@ -139,6 +139,11 @@ impl GraphBuilder {
         }
     }
 
+    /// Queue `other`'s edges after this builder's, in their order.
+    pub(crate) fn append(&mut self, mut other: GraphBuilder) {
+        self.edges.append(&mut other.edges);
+    }
+
     /// Set |V| after [`Self::push_unchecked`].
     pub(crate) fn set_num_vertices(&mut self, n: usize) {
         assert_vertex_count(n);

@@ -2,22 +2,37 @@
 //! Vertex ids are 0-based. Missing weights default to 1 (unweighted input,
 //! as the paper assumes).
 //!
-//! [`read_edge_list`] scans the input with the line scanner the text
-//! readers share (see [`crate::io`]) and queues each edge straight into
-//! the [`GraphBuilder`], so reading allocates nothing per line. Lines,
-//! fields, numbers and errors are those of `BufRead::lines`,
-//! `str::split_whitespace` and `str::parse`.
+//! [`read_edge_list_on`] reads its input into one buffer, cuts it after
+//! `\n` bytes into one chunk per lane and parses the chunks on scoped
+//! threads, the calling thread taking the first (GVEL, Sahu, "Fast Graph
+//! Loading in Edgelist and CSR formats", loads the same way). Each lane
+//! splits its lines with the readers' shared one-pass scanner (see
+//! [`crate::io`]) and queues its edges into a [`GraphBuilder`] of its
+//! own, the first lane into the one that becomes the graph; the later
+//! lanes' queues are appended in chunk order, so the builder sees the
+//! queue a one-lane read gives. The header and the first error are taken
+//! in file order, an error's line number offset by the lines of the
+//! chunks ahead of it. Lines, fields, numbers and errors are those of
+//! `BufRead::lines`, `str::split_whitespace` and `str::parse`.
 
 use super::{
-    check_claimed_vertex_count, check_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields,
-    IoError, LineScanner, PREALLOC,
+    check_claimed_vertex_count, check_vertex_count, parse_err, parse_f32, parse_u64, read_all,
+    utf8, Fields, IoError, Lines, PREALLOC,
 };
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
+use crate::threads::resolve_threads;
 use std::io::{BufRead, Write};
 
 /// Header line [`write_edge_list`] emits ahead of the edges.
 const HEADER_PREFIX: &str = "# nu-lpa edge list:";
+
+/// Fewest bytes of text a lane is given. On the 2-vCPU development host a
+/// scoped thread took 45–60 µs to spawn and join (median of 2,000) and a
+/// lane parsed 330–590 bytes per µs, so a lane of this size parses for two
+/// to four times its start-up cost. Smaller inputs load on fewer lanes;
+/// the built-in test graphs (≤ 14 KB as text) load on one.
+const MIN_LANE_BYTES: usize = 1 << 16;
 
 /// `N`, and `M` if it parses, from a `# nu-lpa edge list: N vertices, M
 /// edges` header line.
@@ -28,71 +43,202 @@ fn header_counts(line: &str) -> Option<(usize, Option<usize>)> {
     Some((n, it.next().and_then(|m| m.parse().ok())))
 }
 
-/// Read an edge list. `num_vertices` may be larger than the max id seen;
-/// pass `None` to take |V| from the [`write_edge_list`] header when the
-/// input has one (so trailing isolated vertices survive a round trip),
-/// else to size the graph to `max_id + 1`. A header claiming more than
-/// 2^28 vertices is rejected. Ids ≥ |V| are rejected. When
-/// `symmetrize` is set, missing reverse edges are added (paper's
-/// preprocessing; see [`GraphBuilder::symmetrize`]).
-pub fn read_edge_list<R: BufRead>(
-    reader: R,
-    num_vertices: Option<usize>,
-    symmetrize: bool,
-) -> Result<Csr, IoError> {
-    let mut lines = LineScanner::new(reader);
-    // |V| is known only at the end; the reader checks ids and weights itself
-    let mut b = GraphBuilder::new(0);
-    let mut edges = 0usize;
-    let mut max_id: u64 = 0;
-    // |V| claimed by the header, and the header's line number
-    let mut header: Option<(usize, usize)> = None;
-    while let Some((lineno, line)) = lines.next_line()? {
-        let mut it = Fields::new(line)?;
-        let first = match it.next() {
-            None => continue,
-            Some([b'#' | b'%', ..]) => {
-                if header.is_some() {
-                    continue;
-                }
-                if let Some((n, m)) = header_counts(utf8(line)?.trim()) {
-                    header = Some((n, lineno));
-                    // Room for 2(N + M) queue entries: three times the
-                    // bytes of the CSR the queue becomes, of which only
-                    // the first M entries are touched. glibc keeps up to
-                    // twice the largest mapping freed as free heap before
-                    // it trims, so freeing this queue keeps a process that
-                    // goes on to hold a few CSR-sized arrays (a copy, a
-                    // dynamic update's output) from trimming its heap and
-                    // page-faulting it in again after every load
-                    // (EXPERIMENTS.md, "Text load").
-                    let room = n.saturating_add(m.unwrap_or(0)).saturating_mul(2);
-                    b = b.reserve(room.min(PREALLOC));
-                }
-                continue;
-            }
-            Some(first) => first,
+/// What one lane found in its chunk.
+struct Lane {
+    builder: GraphBuilder,
+    /// Lines of the chunk scanned; all of them unless `error` is set.
+    lines: usize,
+    edges: usize,
+    max_id: u64,
+    /// |V| claimed by the chunk's first header, and its line in the chunk.
+    header: Option<(usize, usize)>,
+    /// The chunk's first error, with its line number in the chunk.
+    error: Option<IoError>,
+}
+
+impl Lane {
+    /// Parse `chunk`. Only the first lane sizes its queue from the header,
+    /// since its queue holds the whole file's edges in the end.
+    fn parse(chunk: &[u8], first: bool) -> Lane {
+        let mut lane = Lane {
+            // |V| is known only at the end; the lane checks ids and weights
+            builder: GraphBuilder::new(0),
+            lines: 0,
+            edges: 0,
+            max_id: 0,
+            header: None,
+            error: None,
         };
-        let u = parse_u64(first).ok_or_else(|| parse_err(lineno, "bad source vertex"))?;
+        let mut lines = Lines::new(chunk, None);
+        lane.error = lane.scan(&mut lines, first).err();
+        lane.lines = lines.count();
+        lane
+    }
+
+    fn scan(&mut self, lines: &mut Lines, first: bool) -> Result<(), IoError> {
+        loop {
+            let (u, v, w) = match lines.next_plain() {
+                Some((u, v, w)) => (u, v, w.map_or(1.0, |w| w as f32)),
+                None => match lines.next_line()? {
+                    None => return Ok(()),
+                    Some((lineno, line, fields)) => {
+                        match self.line(lineno, line, &fields, first)? {
+                            Some(edge) => edge,
+                            None => continue,
+                        }
+                    }
+                },
+            };
+            if u >= u32::MAX as u64 || v >= u32::MAX as u64 {
+                return Err(parse_err(lines.count(), "vertex id exceeds u32 range"));
+            }
+            self.max_id = self.max_id.max(u).max(v);
+            self.edges += 1;
+            self.builder.push_unchecked(u as VertexId, v as VertexId, w);
+        }
+    }
+
+    /// The edge on a line that is not plain digits, or `None` for a blank
+    /// line or a comment, whose header the lane takes if it has none yet.
+    fn line(
+        &mut self,
+        lineno: usize,
+        line: &[u8],
+        fields: &Fields,
+        first: bool,
+    ) -> Result<Option<(u64, u64, f32)>, IoError> {
+        let source = match fields.get(0) {
+            None => return Ok(None),
+            Some([b'#' | b'%', ..]) => {
+                if self.header.is_none() {
+                    if let Some((n, m)) = header_counts(utf8(line)?.trim()) {
+                        self.header = Some((n, lineno));
+                        if first {
+                            // Room for 2(N + M) queue entries: three times
+                            // the bytes of the CSR the queue becomes, of
+                            // which only the first M entries are touched.
+                            // glibc keeps up to twice the largest mapping
+                            // freed as free heap before it trims, so
+                            // freeing this queue keeps a process that goes
+                            // on to hold a few CSR-sized arrays (a copy, a
+                            // dynamic update's output) from trimming its
+                            // heap and page-faulting it in again after
+                            // every load (EXPERIMENTS.md, "Text load").
+                            let room = n.saturating_add(m.unwrap_or(0)).saturating_mul(2);
+                            let b = std::mem::replace(&mut self.builder, GraphBuilder::new(0));
+                            self.builder = b.reserve(room.min(PREALLOC));
+                        }
+                    }
+                }
+                return Ok(None);
+            }
+            Some(source) => source,
+        };
+        let u = parse_u64(source).ok_or_else(|| parse_err(lineno, "bad source vertex"))?;
         let v = parse_u64(
-            it.next()
+            fields
+                .get(1)
                 .ok_or_else(|| parse_err(lineno, "missing target vertex"))?,
         )
         .ok_or_else(|| parse_err(lineno, "bad target vertex"))?;
-        let w = match it.next() {
+        let w = match fields.get(2) {
             Some(s) => parse_f32(s).ok_or_else(|| parse_err(lineno, "bad weight"))?,
             None => 1.0,
         };
         if !w.is_finite() {
             return Err(parse_err(lineno, "non-finite weight"));
         }
-        if u >= u32::MAX as u64 || v >= u32::MAX as u64 {
-            return Err(parse_err(lineno, "vertex id exceeds u32 range"));
-        }
-        max_id = max_id.max(u).max(v);
-        edges += 1;
-        b.push_unchecked(u as VertexId, v as VertexId, w);
+        Ok(Some((u, v, w)))
     }
+}
+
+/// `text` cut after `\n` bytes into `lanes` chunks of about equal
+/// length (one empty where a line is longer than a chunk).
+fn chunks(text: &[u8], lanes: usize) -> Vec<&[u8]> {
+    let mut out = Vec::with_capacity(lanes);
+    let mut rest = text;
+    for left in (1..=lanes).rev() {
+        let at = rest.len() / left;
+        let end = rest[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| at + i + 1);
+        let (chunk, tail) = rest.split_at(end);
+        out.push(chunk);
+        rest = tail;
+    }
+    out
+}
+
+/// Read an edge list. `num_vertices` may be larger than the max id seen;
+/// pass `None` to take |V| from the [`write_edge_list`] header when the
+/// input has one (so trailing isolated vertices survive a round trip),
+/// else to size the graph to `max_id + 1`. Either way a count from the
+/// file of more than 2^28 vertices is rejected. Ids ≥ |V| are rejected.
+/// When `symmetrize` is set, missing reverse edges are added (paper's
+/// preprocessing; see [`GraphBuilder::symmetrize`]). Parses on the lanes
+/// [`crate::resolve_threads`]`(0)` gives; see [`read_edge_list_on`].
+pub fn read_edge_list<R: BufRead>(
+    reader: R,
+    num_vertices: Option<usize>,
+    symmetrize: bool,
+) -> Result<Csr, IoError> {
+    read_edge_list_on(reader, num_vertices, symmetrize, 0)
+}
+
+/// [`read_edge_list`] on `lanes` threads, the calling one included; `0`
+/// resolves as [`crate::resolve_threads`] does. Each lane is given at
+/// least 64 KiB of the input, so a smaller input loads on fewer lanes. The
+/// graph and every error are the same at any lane count.
+pub fn read_edge_list_on<R: BufRead>(
+    reader: R,
+    num_vertices: Option<usize>,
+    symmetrize: bool,
+    lanes: usize,
+) -> Result<Csr, IoError> {
+    let (text, read_err) = read_all(reader);
+    let lanes = resolve_threads(lanes)
+        .min(text.len() / MIN_LANE_BYTES)
+        .max(1);
+    let chunks = chunks(&text, lanes);
+    let (head, tail) = chunks.split_first().expect("at least one lane");
+    let parsed = std::thread::scope(|s| {
+        let handles: Vec<_> = tail
+            .iter()
+            .map(|&chunk| s.spawn(move || Lane::parse(chunk, false)))
+            .collect();
+        let mut parsed = vec![Lane::parse(head, true)];
+        for h in handles {
+            parsed.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        parsed
+    });
+
+    let mut builder: Option<GraphBuilder> = None;
+    let (mut lines, mut edges, mut max_id) = (0, 0, 0u64);
+    // |V| claimed by the file's first header, and its line
+    let mut header: Option<(usize, usize)> = None;
+    for lane in parsed {
+        if let Some(e) = lane.error {
+            return Err(match e {
+                IoError::Parse { line, msg } => parse_err(lines + line, msg),
+                e => e,
+            });
+        }
+        header = header.or(lane.header.map(|(n, line)| (n, lines + line)));
+        lines += lane.lines;
+        edges += lane.edges;
+        max_id = max_id.max(lane.max_id);
+        match builder.as_mut() {
+            None => builder = Some(lane.builder),
+            Some(b) => b.append(lane.builder),
+        }
+    }
+    if let Some(e) = read_err {
+        return Err(e.into());
+    }
+    let mut b = builder.expect("at least one lane");
+
     if let (None, Some((n, lineno))) = (num_vertices, header) {
         check_claimed_vertex_count(lineno, n)?;
     }
@@ -103,12 +249,13 @@ pub fn read_edge_list<R: BufRead>(
             }
             n
         }
+        None if edges == 0 => 0,
         None => {
-            if edges == 0 {
-                0
-            } else {
-                max_id as usize + 1
-            }
+            // held to what a header may claim, so that one huge id cannot
+            // size a multi-gigabyte offsets array
+            let n = max_id as usize + 1;
+            check_claimed_vertex_count(0, n)?;
+            n
         }
     };
     check_vertex_count(0, n)?;

@@ -4,20 +4,21 @@
 //! let users of this crate run the same pipeline on real downloads when
 //! they have them.
 //!
-//! Both text readers scan their input with one line scanner: lines are
-//! borrowed straight from the reader's buffer, so reading allocates
-//! nothing per line. Lines, fields and numbers come out exactly as
-//! `BufRead::lines`, `str::trim` + `str::split_whitespace` and `str::parse`
-//! would give them, invalid UTF-8 included.
+//! Both text readers read their input into one buffer and scan it with
+//! one line scanner, `Lines`, which allocates nothing per line; a line
+//! of plain-digit fields is split and its digits read in one pass.
+//! Lines, fields and numbers come out exactly as `BufRead::lines`,
+//! `str::trim` + `str::split_whitespace` and `str::parse` would give them,
+//! invalid UTF-8 included.
 
-use std::io::{BufRead, ErrorKind};
+use std::io::{ErrorKind, Read};
 
 mod binary;
 mod edgelist;
 mod mtx;
 
 pub use binary::{read_binary, write_binary};
-pub use edgelist::{read_edge_list, write_edge_list};
+pub use edgelist::{read_edge_list, read_edge_list_on, write_edge_list};
 pub use mtx::{read_matrix_market, write_matrix_market};
 
 /// Errors produced by the graph readers.
@@ -85,100 +86,40 @@ pub(crate) fn check_claimed_vertex_count(line: usize, n: usize) -> Result<(), Io
     Ok(())
 }
 
-/// The lines of a `BufRead`, split as `BufRead::lines` splits them (a
-/// trailing `\n` or `\r\n` removed, a last line without `\n` kept) but
-/// borrowed instead of allocated. A line that lies whole in the reader's
-/// buffer is returned in place; only a line that straddles a refill is
-/// copied, into one reused carry buffer.
-pub(crate) struct LineScanner<R> {
-    reader: R,
-    carry: Vec<u8>,
-    /// Bytes of the reader's buffer the returned line occupies, consumed
-    /// on the next call.
-    pending: usize,
-    lineno: usize,
-}
-
-impl<R: BufRead> LineScanner<R> {
-    pub(crate) fn new(reader: R) -> Self {
-        LineScanner {
-            reader,
-            carry: Vec::new(),
-            pending: 0,
-            lineno: 0,
+/// All of `reader`'s bytes, read into one buffer. On a read error, the
+/// bytes up to the last `\n` read before it, and the error: a line reader
+/// returns every complete line ahead of the failure, then fails.
+pub(crate) fn read_all<R: Read>(mut reader: R) -> (Vec<u8>, Option<std::io::Error>) {
+    let mut text = Vec::new();
+    match reader.read_to_end(&mut text) {
+        Ok(_) => (text, None),
+        Err(e) => {
+            let complete = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            text.truncate(complete);
+            (text, Some(e))
         }
     }
-
-    /// The next line and its 1-based number, or `None` at the end of input.
-    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<(usize, &[u8])>> {
-        self.reader.consume(std::mem::take(&mut self.pending));
-        self.carry.clear();
-        let in_place = loop {
-            let buf = match self.reader.fill_buf() {
-                Ok(buf) => buf,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                break false;
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(i) if self.carry.is_empty() => {
-                    self.pending = i + 1;
-                    break true;
-                }
-                Some(i) => {
-                    self.carry.extend_from_slice(&buf[..=i]);
-                    self.reader.consume(i + 1);
-                    break false;
-                }
-                None => {
-                    let len = buf.len();
-                    self.carry.extend_from_slice(buf);
-                    self.reader.consume(len);
-                }
-            }
-        };
-        let mut line = if in_place {
-            // the same bytes the loop found: a filled buffer is not refilled
-            &self.reader.fill_buf()?[..self.pending]
-        } else if self.carry.is_empty() {
-            return Ok(None);
-        } else {
-            &self.carry[..]
-        };
-        if let Some(l) = line.strip_suffix(b"\n") {
-            line = l.strip_suffix(b"\r").unwrap_or(l);
-        }
-        self.lineno += 1;
-        Ok(Some((self.lineno, line)))
-    }
 }
 
-/// `line` as `&str`, failing with the error `BufRead::lines` gives for
-/// invalid UTF-8.
-pub(crate) fn utf8(line: &[u8]) -> std::io::Result<&str> {
-    std::str::from_utf8(line).map_err(|_| {
-        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-    })
-}
-
-/// The whitespace-separated fields of a line, split exactly as
-/// `str::split_whitespace` splits it. An all-ASCII line is split by byte;
-/// any other line is UTF-8-checked and split as a `&str`.
-#[derive(Clone)]
-pub(crate) enum Fields<'a> {
-    Ascii(&'a [u8]),
-    Unicode(std::str::SplitWhitespace<'a>),
+/// The first three whitespace-separated fields of a line; both text
+/// formats ignore the rest.
+#[derive(Default)]
+pub(crate) struct Fields<'a> {
+    fields: [&'a [u8]; 3],
+    count: usize,
 }
 
 impl<'a> Fields<'a> {
-    pub(crate) fn new(line: &'a [u8]) -> std::io::Result<Self> {
-        Ok(if line.is_ascii() {
-            Fields::Ascii(line)
-        } else {
-            Fields::Unicode(utf8(line)?.split_whitespace())
-        })
+    /// Field `i` (0-based), if the line has it.
+    pub(crate) fn get(&self, i: usize) -> Option<&'a [u8]> {
+        (i < self.count).then(|| self.fields[i])
+    }
+
+    fn push(&mut self, field: &'a [u8]) {
+        if self.count < 3 {
+            self.fields[self.count] = field;
+            self.count += 1;
+        }
     }
 }
 
@@ -188,54 +129,134 @@ fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t'..=b'\r')
 }
 
-impl<'a> Iterator for Fields<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        match self {
-            Fields::Ascii(rest) => {
-                let line: &'a [u8] = rest;
-                let mut start = 0;
-                while start < line.len() && is_space(line[start]) {
-                    start += 1;
-                }
-                if start == line.len() {
-                    *rest = &[];
-                    return None;
-                }
-                let mut end = start + 1;
-                while end < line.len() && !is_space(line[end]) {
-                    end += 1;
-                }
-                *rest = &line[end..];
-                Some(&line[start..end])
-            }
-            Fields::Unicode(it) => it.next().map(str::as_bytes),
-        }
+/// The index of the first byte at or after `i` that is not whitespace or
+/// that ends the line.
+fn skip_blanks(text: &[u8], mut i: usize) -> usize {
+    while i < text.len() && text[i] != b'\n' && is_space(text[i]) {
+        i += 1;
     }
+    i
 }
 
-/// `field` as an integer if it is 1 to 19 plain ASCII digits, which
-/// cannot overflow a `u64`.
-fn plain_digits(field: &[u8]) -> Option<u64> {
-    if field.is_empty() || field.len() > 19 {
-        return None;
-    }
-    let mut n = 0;
-    for &b in field {
+/// The length of the run of ASCII digits `text` starts with, and the
+/// run's value (wrapping past `u64`).
+fn digit_run(text: &[u8]) -> (usize, u64) {
+    let mut n = 0u64;
+    for (len, &b) in text.iter().enumerate() {
         let d = b.wrapping_sub(b'0');
         if d > 9 {
-            return None;
+            return (len, n);
         }
-        n = n * 10 + u64::from(d);
+        n = n.wrapping_mul(10).wrapping_add(u64::from(d));
     }
-    Some(n)
+    (text.len(), n)
 }
 
-/// `field` as `str::parse::<u64>` reads it: plain digits by a digit loop,
-/// anything else (a sign, 20+ digits, junk) through `str::parse`.
+/// The field at `text[i..]` and the index after it, if the field is 1 to
+/// 19 plain digits (which cannot overflow a `u64`).
+fn plain_field(text: &[u8], i: usize) -> Option<(u64, usize)> {
+    let (len, n) = digit_run(&text[i..]);
+    let end = i + len;
+    let ends_field = text.get(end).is_none_or(|&b| is_space(b));
+    ((1..=19).contains(&len) && ends_field).then_some((n, end))
+}
+
+/// The lines of a text held in memory. Lines are split at `\n` as
+/// `BufRead::lines` splits them, a last line without `\n` kept; the `\r`
+/// of a `\r\n` stays on its line, where it is whitespace like any other.
+/// Fields are split as `str::trim` + `str::split_whitespace` split them.
+pub(crate) struct Lines<'a> {
+    rest: &'a [u8],
+    lineno: usize,
+    /// Returned once the text is exhausted: the read error that cut it.
+    err: Option<std::io::Error>,
+}
+
+impl<'a> Lines<'a> {
+    pub(crate) fn new(text: &'a [u8], err: Option<std::io::Error>) -> Self {
+        Lines {
+            rest: text,
+            lineno: 0,
+            err,
+        }
+    }
+
+    /// Lines read so far: the number of the last line returned.
+    pub(crate) fn count(&self) -> usize {
+        self.lineno
+    }
+
+    /// The next line's fields if the line is two or three fields of 1 to
+    /// 19 plain digits and nothing else, the shape of nearly every edge
+    /// line. It splits the line and reads its digits in one pass, stopping
+    /// at the `\n`. Any other line (blank, a comment, a sign, a decimal
+    /// point, a fourth field, a byte ≥ 0x80) gives `None` and is left for
+    /// [`Self::next_line`].
+    pub(crate) fn next_plain(&mut self) -> Option<(u64, u64, Option<u64>)> {
+        let text = self.rest;
+        let (u, i) = plain_field(text, skip_blanks(text, 0))?;
+        let (v, i) = plain_field(text, skip_blanks(text, i))?;
+        let mut i = skip_blanks(text, i);
+        let w = match text.get(i) {
+            None | Some(b'\n') => None,
+            Some(_) => {
+                let (w, end) = plain_field(text, i)?;
+                i = skip_blanks(text, end);
+                Some(w)
+            }
+        };
+        if text.get(i).is_some_and(|&b| b != b'\n') {
+            return None;
+        }
+        self.rest = text.get(i + 1..).unwrap_or_default();
+        self.lineno += 1;
+        Some((u, v, w))
+    }
+
+    /// The next line, its 1-based number and its fields, or `None` at the
+    /// end of the text. An all-ASCII line is split by byte in one pass
+    /// that stops at its `\n`; a line with a byte ≥ 0x80 is UTF-8-checked
+    /// and split as a `&str`, failing with the error `BufRead::lines`
+    /// gives for invalid UTF-8.
+    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<(usize, &'a [u8], Fields<'a>)>> {
+        let text = self.rest;
+        if text.is_empty() {
+            return self.err.take().map_or(Ok(None), Err);
+        }
+        self.lineno += 1;
+        let mut fields = Fields::default();
+        let mut i = skip_blanks(text, 0);
+        let mut ascii = true;
+        while i < text.len() && text[i] != b'\n' {
+            let start = i;
+            while i < text.len() && !is_space(text[i]) {
+                ascii &= text[i] < 0x80;
+                i += 1;
+            }
+            fields.push(&text[start..i]);
+            i = skip_blanks(text, i);
+        }
+        let line = &text[..i];
+        self.rest = text.get(i + 1..).unwrap_or_default();
+        if !ascii {
+            fields = Fields::default();
+            for field in utf8(line)?.split_whitespace() {
+                fields.push(field.as_bytes());
+            }
+        }
+        Ok(Some((self.lineno, line, fields)))
+    }
+}
+
+/// `field` as `str::parse::<u64>` reads it: 1 to 19 plain digits by a
+/// digit loop, anything else (a sign, 20+ digits, junk) through
+/// `str::parse`.
 pub(crate) fn parse_u64(field: &[u8]) -> Option<u64> {
-    plain_digits(field).or_else(|| std::str::from_utf8(field).ok()?.parse().ok())
+    // a field holds no whitespace, so a plain field is all of it
+    match plain_field(field, 0) {
+        Some((n, _)) => Some(n),
+        None => std::str::from_utf8(field).ok()?.parse().ok(),
+    }
 }
 
 /// `field` as `str::parse::<f32>` reads it. Plain digits convert through
@@ -243,10 +264,18 @@ pub(crate) fn parse_u64(field: &[u8]) -> Option<u64> {
 /// correctly rounded `str::parse` does; anything else goes through
 /// `str::parse`.
 pub(crate) fn parse_f32(field: &[u8]) -> Option<f32> {
-    match plain_digits(field) {
-        Some(n) => Some(n as f32),
+    match plain_field(field, 0) {
+        Some((n, _)) => Some(n as f32),
         None => std::str::from_utf8(field).ok()?.parse().ok(),
     }
+}
+
+/// `line` as `&str`, failing with the error `BufRead::lines` gives for
+/// invalid UTF-8.
+pub(crate) fn utf8(line: &[u8]) -> std::io::Result<&str> {
+    std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
 }
 
 pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> IoError {

@@ -3,39 +3,37 @@
 //! {real,integer,pattern} {general,symmetric}` with 1-based indices.
 
 use super::{
-    check_claimed_vertex_count, parse_err, parse_f32, parse_u64, utf8, Fields, IoError,
-    LineScanner, PREALLOC,
+    check_claimed_vertex_count, parse_err, parse_f32, parse_u64, read_all, utf8, Fields, IoError,
+    Lines, PREALLOC,
 };
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
 
-/// A line's fields, or `None` for a blank line or a `%` comment.
-fn data_fields(line: &[u8]) -> std::io::Result<Option<Fields<'_>>> {
-    let it = Fields::new(line)?;
-    Ok(match it.clone().next() {
-        None | Some([b'%', ..]) => None,
-        Some(_) => Some(it),
-    })
+/// Whether a line is data: not blank and not a `%` comment.
+fn is_data(fields: &Fields) -> bool {
+    fields.get(0).is_some_and(|f| f[0] != b'%')
 }
 
-/// The next field as an index or count, as `str::parse::<usize>` reads it.
-fn next_usize(it: &mut Fields) -> Option<usize> {
-    usize::try_from(parse_u64(it.next()?)?).ok()
+/// Field `i` as an index or count, as `str::parse::<usize>` reads it.
+fn usize_at(fields: &Fields, i: usize) -> Option<usize> {
+    usize::try_from(parse_u64(fields.get(i)?)?).ok()
 }
 
 /// Read a MatrixMarket file into a symmetrized graph. `general` matrices
 /// get reverse edges added (the paper's preprocessing for directed webs);
 /// `symmetric` matrices store each off-diagonal entry once and we expand
 /// it to both directions. Diagonal entries (self loops) are dropped. A
-/// size line claiming more than 2^28 rows is rejected. Lines are scanned
-/// as [`read_edge_list`](super::read_edge_list) scans them, without an
+/// size line claiming more than 2^28 rows is rejected. The input is read
+/// into one buffer and its lines scanned as
+/// [`read_edge_list`](super::read_edge_list) scans them, without an
 /// allocation per line.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
-    let mut lines = LineScanner::new(reader);
+    let (text, read_err) = read_all(reader);
+    let mut lines = Lines::new(&text, read_err);
 
     // Header
-    let (_, header) = lines
+    let (_, header, _) = lines
         .next_line()?
         .ok_or_else(|| parse_err(1, "empty file"))?;
     let header = utf8(header)?;
@@ -60,17 +58,17 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     let pattern = field == "pattern";
 
     // Size line (after comments)
-    let (szno, mut it) = loop {
-        let (lineno, line) = lines
+    let (szno, size) = loop {
+        let (lineno, _, fields) = lines
             .next_line()?
             .ok_or_else(|| parse_err(0, "missing size line"))?;
-        if let Some(it) = data_fields(line)? {
-            break (lineno, it);
+        if is_data(&fields) {
+            break (lineno, fields);
         }
     };
-    let rows = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad row count"))?;
-    let cols = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad column count"))?;
-    let nnz = next_usize(&mut it).ok_or_else(|| parse_err(szno, "bad nnz count"))?;
+    let rows = usize_at(&size, 0).ok_or_else(|| parse_err(szno, "bad row count"))?;
+    let cols = usize_at(&size, 1).ok_or_else(|| parse_err(szno, "bad column count"))?;
+    let nnz = usize_at(&size, 2).ok_or_else(|| parse_err(szno, "bad nnz count"))?;
     if rows != cols {
         return Err(parse_err(szno, "adjacency matrix must be square"));
     }
@@ -82,16 +80,17 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
         .duplicate_policy(crate::builder::DuplicatePolicy::KeepFirst)
         .reserve(nnz.min(PREALLOC) * 2);
     let mut seen = 0usize;
-    while let Some((lineno, line)) = lines.next_line()? {
-        let Some(mut it) = data_fields(line)? else {
+    while let Some((lineno, _, fields)) = lines.next_line()? {
+        if !is_data(&fields) {
             continue;
-        };
-        let u = next_usize(&mut it).ok_or_else(|| parse_err(lineno, "bad row index"))?;
-        let v = next_usize(&mut it).ok_or_else(|| parse_err(lineno, "bad column index"))?;
+        }
+        let u = usize_at(&fields, 0).ok_or_else(|| parse_err(lineno, "bad row index"))?;
+        let v = usize_at(&fields, 1).ok_or_else(|| parse_err(lineno, "bad column index"))?;
         let w = if pattern {
             1.0
         } else {
-            it.next()
+            fields
+                .get(2)
                 .and_then(parse_f32)
                 .ok_or_else(|| parse_err(lineno, "missing value"))?
         };

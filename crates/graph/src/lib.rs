@@ -33,6 +33,8 @@ pub mod io;
 pub mod permute;
 pub mod stats;
 pub mod subgraph;
+pub mod threads;
 
 pub use builder::{DuplicatePolicy, GraphBuilder};
 pub use csr::{Csr, VertexId, Weight};
+pub use threads::{resolve_threads, MAX_THREADS};

@@ -94,9 +94,19 @@ fn edge_list_oversized_counts() {
         b"0 4294967294\n",
         b"4294967296 0\n",
         b"0 99999999999999999999999\n",
+        b"0 4294967293\n",
     ] {
         assert!(edge_list(txt).is_err());
     }
+    // with no header, |V| implied by one huge id is held to the same
+    // limit: an error, not a |V|-sized allocation
+    let err = edge_list(b"0 4294967293\n").unwrap_err();
+    assert!(err.contains("header may claim"), "{err}");
+    // unless the caller gives |V|
+    let err = read_edge_list(Cursor::new("0 4294967293\n"), Some(8), false)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains(">= |V| = 8"), "{err}");
     let err = read_edge_list(Cursor::new("0 1\n"), Some(usize::MAX), false)
         .unwrap_err()
         .to_string();

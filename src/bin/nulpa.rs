@@ -27,7 +27,7 @@ use nu_lpa::core::{
 };
 use nu_lpa::graph::datasets::spec_by_name;
 use nu_lpa::graph::io::{
-    read_binary, read_edge_list, read_matrix_market, write_binary, write_edge_list,
+    read_binary, read_edge_list_on, read_matrix_market, write_binary, write_edge_list,
 };
 use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
@@ -45,6 +45,10 @@ nu_lpa::telemetry::install_counting_alloc!();
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(lines) = command_help(&args) {
+        eprintln!("USAGE:\n  {lines}");
+        return ExitCode::SUCCESS;
+    }
     let result = match args.first().map(String::as_str) {
         Some("stats") => cmd_stats(&args[1..]),
         Some("detect") => cmd_detect(&args[1..]),
@@ -72,21 +76,53 @@ fn main() -> ExitCode {
     }
 }
 
+/// Each subcommand's usage lines, in the order `nulpa --help` lists them.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "stats",
+        "nulpa stats [graph] [--backend B] [--json] [--history FILE] [--check BASELINE]\n              \
+         [--write-baseline FILE] [--telemetry FILE]   convergence observatory",
+    ),
+    (
+        "detect",
+        "nulpa detect <graph> [--method M] [--threads N] [--frontier]\n              \
+         [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]",
+    ),
+    (
+        "partition",
+        "nulpa partition <graph> -k N [--balance F] [--output FILE]",
+    ),
+    ("coarsen", "nulpa coarsen <graph> --target N [--output FILE]"),
+    ("inspect", "nulpa inspect <graph> [--top N]"),
+    ("predict", "nulpa predict <graph> [-k N]"),
+    (
+        "generate",
+        "nulpa generate <dataset> [--scale F] [--output FILE]   (.bin: binary CSR)",
+    ),
+    ("trace", "nulpa trace <tracefile> [--top K] [--json]"),
+    (
+        "sancheck",
+        "nulpa sancheck [graph] [--json]   run backends under the hazard checker",
+    ),
+    (
+        "check",
+        "nulpa check [--json] [--inject]   static kernel effect verifier + workspace linter",
+    ),
+    (
+        "profile",
+        "nulpa profile [graph] [--json] [--backend NAME] [--telemetry FILE]   cycle-attribution profile\n  \
+         nulpa profile --host [graph] [--json] [--trace FILE] [--check BASELINE]\n              \
+         [--write-baseline FILE] [--telemetry FILE]   host-parallel observatory",
+    ),
+];
+
 fn usage() {
+    eprintln!("nulpa — nu-LPA community detection (paper reproduction)\n\nUSAGE:");
+    for (_, lines) in COMMANDS {
+        eprintln!("  {lines}");
+    }
     eprintln!(
-        "nulpa — nu-LPA community detection (paper reproduction)\n\n\
-         USAGE:\n  nulpa stats [graph] [--backend B] [--json] [--history FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   convergence observatory\n  \
-         nulpa detect <graph> [--method M] [--threads N] [--frontier]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
-         nulpa partition <graph> -k N [--balance F] [--output FILE]\n  \
-         nulpa coarsen <graph> --target N [--output FILE]\n  \
-         nulpa inspect <graph> [--top N]\n  \
-         nulpa predict <graph> [-k N]\n  \
-         nulpa generate <dataset> [--scale F] [--output FILE]   (.bin: binary CSR)\n  \
-         nulpa trace <tracefile> [--top K] [--json]\n  \
-         nulpa sancheck [graph] [--json]   run backends under the hazard checker\n  \
-         nulpa check [--json] [--inject]   static kernel effect verifier + workspace linter\n  \
-         nulpa profile [graph] [--json] [--backend NAME] [--telemetry FILE]   cycle-attribution profile\n  \
-         nulpa profile --host [graph] [--json] [--trace FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   host-parallel observatory\n\n\
+        "\n\
          HOST PROFILING: --host runs lpa_native's block-synchronous sweep\n  \
          at a 1/2/4 thread ladder with the host-parallel profiler: per-thread\n  \
          busy time/utilization, per-degree-bucket vertices/edges, and\n  \
@@ -102,7 +138,8 @@ fn usage() {
          METHODS: nu-lpa (default), nu-lpa-sim (simulated A100), flpa,\n  \
          networkit, gunrock, louvain, leiden, gve-lpa\n\n\
          THREADS: --threads N (or NULPA_THREADS=N) sets the host threads\n  \
-         driving nu-lpa / nu-lpa-sim; results are identical at any count.\n\n\
+         loading a text edge list and driving nu-lpa / nu-lpa-sim; results\n  \
+         are identical at any count.\n\n\
          FRONTIER: --frontier switches nu-lpa-sim to worklist (active-set)\n  \
          scheduling: only re-activated vertices are compacted and launched,\n  \
          so simulated cycles scale with the frontier. Deterministic at any\n  \
@@ -114,10 +151,22 @@ fn usage() {
     );
 }
 
-fn load_graph(path: &str) -> Result<Csr, String> {
+/// `--help` or `-h` anywhere after a subcommand prints that subcommand's
+/// usage instead of running it.
+fn command_help(args: &[String]) -> Option<&'static str> {
+    let (cmd, rest) = args.split_first()?;
+    let (_, lines) = COMMANDS.iter().find(|(name, _)| name == cmd)?;
+    rest.iter()
+        .any(|a| a == "--help" || a == "-h")
+        .then_some(lines)
+}
+
+/// Load a graph; a text edge list is parsed on `lanes` threads (0: as
+/// [`nu_lpa::core::resolve_threads`] resolves it).
+fn load_graph(path: &str, lanes: usize) -> Result<Csr, String> {
     if path == "-" {
         let stdin = std::io::stdin();
-        return read_edge_list(stdin.lock(), None, true).map_err(|e| e.to_string());
+        return read_edge_list_on(stdin.lock(), None, true, lanes).map_err(|e| e.to_string());
     }
     let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let r = BufReader::new(f);
@@ -126,7 +175,7 @@ fn load_graph(path: &str) -> Result<Csr, String> {
     } else if path.ends_with(".bin") {
         read_binary(r).map_err(|e| format!("{path}: {e}"))
     } else {
-        read_edge_list(r, None, true).map_err(|e| format!("{path}: {e}"))
+        read_edge_list_on(r, None, true, lanes).map_err(|e| format!("{path}: {e}"))
     }
 }
 
@@ -291,7 +340,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let graphs: Vec<(String, Csr)> = match positional(args, VALUE_FLAGS) {
         Some(p) => {
             let span = PhaseSpan::new("load");
-            let g = load_graph(p)?;
+            let g = load_graph(p, 0)?;
             span.finish();
             vec![(p.clone(), g)]
         }
@@ -540,18 +589,6 @@ fn quality_row(r: &nu_lpa::telemetry::RunRecord) -> Row {
 
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("detect: missing graph path")?;
-    let telemetry_path = opt_value(args, "--telemetry");
-    // Phase spans are opened only when telemetry output was requested —
-    // untelemetered runs stay observation-free.
-    let load_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("load"));
-    let g = load_graph(path)?;
-    if let Some(span) = load_span {
-        span.finish();
-    }
-    let method = opt_value(args, "--method").unwrap_or("nu-lpa");
-    let output = opt_value(args, "--output");
-    let quality = args.iter().any(|a| a == "--quality");
-    let trace_path = opt_value(args, "--trace");
     // 0 = resolve from NULPA_THREADS / available parallelism
     let threads: usize = opt_value(args, "--threads")
         .map(|s| {
@@ -562,6 +599,11 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or(0);
+    let telemetry_path = opt_value(args, "--telemetry");
+    let method = opt_value(args, "--method").unwrap_or("nu-lpa");
+    let output = opt_value(args, "--output");
+    let quality = args.iter().any(|a| a == "--quality");
+    let trace_path = opt_value(args, "--trace");
     let frontier = args.iter().any(|a| a == "--frontier");
     if frontier && method != "nu-lpa-sim" {
         return Err(format!(
@@ -576,6 +618,14 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "--trace: method `{method}` is not instrumented (use nu-lpa or nu-lpa-sim)"
         ));
+    }
+    // The options are checked before the graph loads on `--threads`
+    // lanes. Phase spans are opened only when telemetry output was
+    // requested — untelemetered runs stay observation-free.
+    let load_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("load"));
+    let g = load_graph(path, threads)?;
+    if let Some(span) = load_span {
+        span.finish();
     }
     let mut file_sink = trace_path.map(FileSink::create).transpose()?;
     let mut null = NullSink;
@@ -651,7 +701,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
 
 fn cmd_partition(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("partition: missing graph path")?;
-    let g = load_graph(path)?;
+    let g = load_graph(path, 0)?;
     let k: usize = opt_value(args, "-k")
         .ok_or("partition: missing -k <parts>")?
         .parse()
@@ -690,7 +740,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 
 fn cmd_coarsen(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("coarsen: missing graph path")?;
-    let g = load_graph(path)?;
+    let g = load_graph(path, 0)?;
     let target: usize = opt_value(args, "--target")
         .map(|s| s.parse().map_err(|_| "coarsen: bad --target"))
         .transpose()?
@@ -734,7 +784,7 @@ fn cmd_coarsen(args: &[String]) -> Result<(), String> {
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("inspect: missing graph path")?;
-    let g = load_graph(path)?;
+    let g = load_graph(path, 0)?;
     let top: usize = opt_value(args, "--top")
         .map(|s| s.parse().map_err(|_| "inspect: bad --top"))
         .transpose()?
@@ -781,7 +831,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 
 fn cmd_predict(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("predict: missing graph path")?;
-    let g = load_graph(path)?;
+    let g = load_graph(path, 0)?;
     let k: usize = opt_value(args, "-k")
         .map(|s| s.parse().map_err(|_| "predict: bad -k"))
         .transpose()?
@@ -888,7 +938,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
 
     let json = args.iter().any(|a| a == "--json");
     let graphs: Vec<(String, Csr)> = match positional(args, VALUE_FLAGS) {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
+        Some(p) => vec![(p.clone(), load_graph(p, 0)?)],
         None => nu_lpa::graph::gen::builtin_trio(),
     };
 
@@ -954,7 +1004,7 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     let telemetry_path = opt_value(args, "--telemetry");
     let graph_path = positional(args, &["--backend", "--telemetry"]);
     let graphs: Vec<(String, Csr)> = match graph_path {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
+        Some(p) => vec![(p.clone(), load_graph(p, 0)?)],
         None => nu_lpa::graph::gen::builtin_trio(),
     };
     let specs: Vec<_> = backends()
@@ -1035,7 +1085,7 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     let json = args.iter().any(|a| a == "--json");
     let graph_path = args.iter().find(|a| !a.starts_with("--"));
     let graphs: Vec<(String, Csr)> = match graph_path {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
+        Some(p) => vec![(p.clone(), load_graph(p, 0)?)],
         None => nu_lpa::graph::gen::builtin_trio(),
     };
 

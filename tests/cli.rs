@@ -24,6 +24,43 @@ fn help_exits_zero() {
 }
 
 #[test]
+fn every_subcommand_prints_its_usage_on_help() {
+    let commands = [
+        "stats",
+        "detect",
+        "partition",
+        "coarsen",
+        "inspect",
+        "predict",
+        "generate",
+        "trace",
+        "sancheck",
+        "check",
+        "profile",
+    ];
+    for cmd in commands {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(BIN).args([cmd, flag]).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{cmd} {flag}: {err}");
+            assert!(err.contains("USAGE"), "{cmd} {flag}: {err}");
+            assert!(
+                err.contains(&format!("nulpa {cmd} ")),
+                "{cmd} {flag}: {err}"
+            );
+            // the usage only: nothing ran
+            assert!(out.stdout.is_empty(), "{cmd} {flag}");
+        }
+    }
+    // also after other arguments
+    let out = Command::new(BIN)
+        .args(["detect", "missing.txt", "--threads", "2", "--help"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = Command::new(BIN).arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
@@ -189,6 +226,36 @@ fn partition_balances() {
         .collect();
     assert_eq!(parts.len(), 16);
     assert!(parts.iter().all(|&p| p < 4));
+}
+
+#[test]
+fn detect_labels_do_not_depend_on_the_load_lanes() {
+    // large enough for several load lanes
+    let gpath = tmp("lanes.txt");
+    let out = Command::new(BIN)
+        .args([
+            "generate",
+            "kmer_V1r",
+            "--scale",
+            "0.0001",
+            "--output",
+            gpath.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(std::fs::metadata(&gpath).unwrap().len() > 1 << 19);
+    let labels = |threads: &str| {
+        let out = Command::new(BIN)
+            .args(["detect", gpath.to_str().unwrap(), "--threads", threads])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        out.stdout
+    };
+    let one = labels("1");
+    assert!(!one.is_empty());
+    assert_eq!(labels("3"), one);
 }
 
 #[test]
