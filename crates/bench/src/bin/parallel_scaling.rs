@@ -1,8 +1,8 @@
 //! Host-parallel scaling of the SIMT simulator and the native backend.
 //!
 //! Runs `nulpa`-style community detection on the largest benchmark graph
-//! at 1, 2 and 4 host threads — first on the GPU-simulator backend
-//! (both scheduling modes), then on the native sweep — records
+//! at 1, 2 and 4 host threads — first on the GPU-simulator backend,
+//! then on the native sweep — records
 //! median wall-clock per thread count, and cross-checks that every run
 //! produces bit-identical labels (plus simulator statistics and
 //! staged-write collision counts for the simulator runs): the
@@ -92,39 +92,32 @@ fn main() {
     let degraded = |threads: usize| hw_threads == 1 || threads > hw_threads;
 
     // --- GPU-simulator ladder -------------------------------------------
-    // (frontier?, threads, p50 ms, stats) — both scheduling modes run the
-    // full thread ladder, and each mode's runs must be bit-identical
-    // across thread counts (the deterministic-merge contract covers the
-    // frontier worklist too).
-    let mut rows: Vec<(bool, usize, f64, TimingStats)> = Vec::new();
-    for &frontier in &[false, true] {
-        let mut reference = None;
-        for &threads in &THREAD_COUNTS {
-            // explicit thread count, overriding any NULPA_THREADS in the env
-            let cfg = LpaConfig::default()
-                .with_threads(threads)
-                .with_frontier(frontier);
-            let (stats, r) = timing_stats(args.repeats, || lpa_gpu(g, &cfg));
-            let wall = stats.p50;
-            match &reference {
-                None => reference = Some(r),
-                Some(base) => {
-                    assert_eq!(
-                        r.labels, base.labels,
-                        "labels diverged at {threads} threads (frontier={frontier})"
-                    );
-                    assert_eq!(
-                        r.stats, base.stats,
-                        "simulator stats diverged at {threads} threads (frontier={frontier})"
-                    );
-                    assert_eq!(
-                        r.staged_collisions, base.staged_collisions,
-                        "staged collisions diverged at {threads} threads (frontier={frontier})"
-                    );
-                }
+    // (threads, p50 ms, stats) — the runs must be bit-identical across
+    // thread counts (the deterministic-merge contract).
+    let mut rows: Vec<(usize, f64, TimingStats)> = Vec::new();
+    let mut reference = None;
+    for &threads in &THREAD_COUNTS {
+        // explicit thread count, overriding any NULPA_THREADS in the env
+        let cfg = LpaConfig::default().with_threads(threads);
+        let (stats, r) = timing_stats(args.repeats, || lpa_gpu(g, &cfg));
+        match &reference {
+            None => reference = Some(r),
+            Some(base) => {
+                assert_eq!(
+                    r.labels, base.labels,
+                    "labels diverged at {threads} threads"
+                );
+                assert_eq!(
+                    r.stats, base.stats,
+                    "simulator stats diverged at {threads} threads"
+                );
+                assert_eq!(
+                    r.staged_collisions, base.staged_collisions,
+                    "staged collisions diverged at {threads} threads"
+                );
             }
-            rows.push((frontier, threads, wall.as_secs_f64() * 1e3, stats));
         }
+        rows.push((threads, stats.p50.as_secs_f64() * 1e3, stats));
     }
 
     // --- Native sweep ladder ----------------------------------------------
@@ -184,11 +177,11 @@ fn main() {
         "imbalance",
         "repair"
     );
-    let base_ms = rows[0].2;
-    for &(frontier, threads, ms, stats) in &rows {
+    let base_ms = rows[0].1;
+    for &(threads, ms, stats) in &rows {
         println!(
             "{:<10} {threads:<8} {:>12.2} {ms:>12.2} {:>12.2} {:>9.2}x {:>9} {:>10} {:>8}",
-            if frontier { "frontier" } else { "dense" },
+            "sim",
             stats.min.as_secs_f64() * 1e3,
             stats.p95.as_secs_f64() * 1e3,
             base_ms / ms.max(1e-9),
@@ -210,9 +203,7 @@ fn main() {
             repair_rate * 100.0,
         );
     }
-    println!(
-        "\nall thread counts produced bit-identical labels (and simulator stats) in every mode"
-    );
+    println!("\nall thread counts produced bit-identical labels (and simulator stats)");
     if THREAD_COUNTS.iter().any(|&t| degraded(t)) {
         eprintln!(
             "warning: host has {hw_threads} hardware thread(s) but the ladder requests up to {} — \
@@ -225,7 +216,6 @@ fn main() {
     let mut t = Table::new(
         &format!("nulpa detect wall-clock on {}", spec.name),
         &[
-            "frontier",
             "threads",
             "min_ms",
             "wall_ms",
@@ -235,12 +225,10 @@ fn main() {
             "degraded",
         ],
     );
-    for &(frontier, threads, ms, stats) in &rows {
-        let mode = if frontier { "frontier" } else { "dense" };
+    for &(threads, ms, stats) in &rows {
         t.row(
-            &format!("{mode}:threads={threads}"),
+            &format!("sim:threads={threads}"),
             &[
-                frontier as u8 as f64,
                 threads as f64,
                 stats.min.as_secs_f64() * 1e3,
                 ms,
@@ -250,7 +238,7 @@ fn main() {
                 degraded(threads) as u8 as f64,
             ],
         );
-        report.record_timing(&format!("{}::{mode}:threads={threads}", spec.name), stats);
+        report.record_timing(&format!("{}::sim:threads={threads}", spec.name), stats);
     }
     report.push(t);
 

@@ -79,7 +79,7 @@ mod tests {
             "shipped workspace has static findings:\n{}",
             rep.render()
         );
-        assert_eq!(rep.kernels_checked, 4);
+        assert_eq!(rep.kernels_checked, 3);
         assert!(rep.files_scanned > 20, "scanned {}", rep.files_scanned);
         assert!(rep.facts_checked > 50);
     }

@@ -562,7 +562,7 @@ mod tests {
             "shipped kernels must be statically clean:\n{}",
             rep.render()
         );
-        assert_eq!(rep.kernels_checked, 4);
+        assert_eq!(rep.kernels_checked, 3);
         assert!(rep.facts_checked > 50, "suspiciously few facts discharged");
     }
 

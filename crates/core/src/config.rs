@@ -98,16 +98,6 @@ pub struct LpaConfig {
     /// neighbourhood changed are reprocessed. Disable for the ablation
     /// bench — every iteration then scans all vertices.
     pub pruning: bool,
-    /// Frontier (worklist) execution on the simulator: instead of
-    /// launching all |V| vertices and filtering on the pruning flags,
-    /// [`crate::lpa_gpu`] compacts an explicit active set carried over
-    /// from the previous iteration (Traag & Šubelj's fast label
-    /// propagation) and launches only it, so the sparse launch charges
-    /// cycles proportional to the frontier, not |V|. [`crate::lpa_native`]
-    /// and [`crate::lpa_seq`] ignore it: their dense pruned sweep gives
-    /// the same labels and was measured faster (DESIGN.md). Requires
-    /// `pruning` (the frontier *is* the pruning rule made explicit).
-    pub frontier: bool,
     /// Shared-memory hashtables for low-degree vertices (paper §4.2: the
     /// authors "experimented with shared memory-based hashtables for
     /// low-degree vertices, but saw little to no performance gain" — off
@@ -136,7 +126,6 @@ impl Default for LpaConfig {
             probe: ProbeStrategy::QuadraticDouble,
             value_type: ValueType::F32,
             pruning: true,
-            frontier: false,
             shared_tables: false,
             device: DeviceConfig::a100(),
             cost: CostModel::default_gpu(),
@@ -169,9 +158,6 @@ impl LpaConfig {
                 self.threads
             ));
         }
-        if self.frontier && !self.pruning {
-            return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
-        }
         self.device.validate()
     }
 
@@ -202,12 +188,6 @@ impl LpaConfig {
     /// Builder-style setter for vertex pruning.
     pub fn with_pruning(mut self, p: bool) -> Self {
         self.pruning = p;
-        self
-    }
-
-    /// Builder-style setter for frontier (worklist) execution.
-    pub fn with_frontier(mut self, f: bool) -> Self {
-        self.frontier = f;
         self
     }
 
@@ -257,15 +237,7 @@ mod tests {
         assert_eq!(c.probe, ProbeStrategy::QuadraticDouble);
         assert_eq!(c.value_type, ValueType::F32);
         assert!(c.pruning);
-        assert!(!c.frontier);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn frontier_requires_pruning() {
-        let c = LpaConfig::default().with_frontier(true);
-        assert!(c.validate().is_ok());
-        assert!(c.with_pruning(false).validate().is_err());
     }
 
     /// Serializes the tests that mutate `NULPA_THREADS` — the test

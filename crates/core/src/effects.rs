@@ -28,8 +28,6 @@ pub const KERNEL_THREAD: &str = "kernel:thread";
 pub const KERNEL_BLOCK: &str = "kernel:block";
 /// Launch name of the Cross-Check revert kernel.
 pub const KERNEL_CROSS_CHECK: &str = "kernel:cross_check";
-/// Launch name of the frontier-compaction kernel (frontier mode only).
-pub const KERNEL_COMPACT: &str = "kernel:compact";
 
 const fn read(site: &'static str, region: Region, index: IndexExpr) -> AccessEffect {
     AccessEffect {
@@ -270,28 +268,6 @@ fn cross_check_effects() -> Effects {
     }
 }
 
-/// Effects of the frontier-compaction kernel: one lane per worklist
-/// entry reads its processed flag and emits through a warp-aggregated
-/// push (modelled as ALU work — the per-warp counter bump is amortised
-/// and the output list is host-side state, not a simulated region). A
-/// pure reader: no shared-state writes, no barriers, no table probes.
-fn compact_kernel_effects() -> Effects {
-    Effects {
-        kernel: KERNEL_COMPACT,
-        flavor: KernelFlavor::ThreadPerItem,
-        order: LaneOrder::Lockstep,
-        staging: StagingClass::Staged,
-        distinct_items: true,
-        accesses: vec![read(
-            "processed flag",
-            Region::Processed,
-            IndexExpr::OwnVertex,
-        )],
-        barriers: vec![],
-        probes: ProbeBound::None,
-    }
-}
-
 /// Registry holding the effect declarations of every kernel the
 /// workspace launches. `nulpa check` verifies exactly this set; the
 /// launch-site lint cross-references it by kernel name.
@@ -300,7 +276,6 @@ pub fn shipped_effects() -> EffectsRegistry {
     r.register(thread_kernel_effects());
     r.register(block_kernel_effects());
     r.register(cross_check_effects());
-    r.register(compact_kernel_effects());
     r
 }
 
@@ -328,13 +303,8 @@ mod tests {
     #[test]
     fn registry_covers_all_launch_names() {
         let r = shipped_effects();
-        assert_eq!(r.len(), 4);
-        for k in [
-            KERNEL_THREAD,
-            KERNEL_BLOCK,
-            KERNEL_CROSS_CHECK,
-            KERNEL_COMPACT,
-        ] {
+        assert_eq!(r.len(), 3);
+        for k in [KERNEL_THREAD, KERNEL_BLOCK, KERNEL_CROSS_CHECK] {
             assert!(r.lookup(k).is_some(), "missing descriptor for {k}");
         }
     }

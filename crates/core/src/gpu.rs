@@ -148,12 +148,6 @@ struct LaneShard {
     flag_set: Vec<usize>,
     /// Staged processed-flag clears (neighbour unmarks).
     flag_clear: Vec<usize>,
-    /// Frontier mode only: vertices whose best label differed from their
-    /// current one but whose move the Pick-Less gate blocked. The host
-    /// parks them — their label is *not* the argmax of their
-    /// neighbourhood, so a future neighbour move must re-activate them
-    /// even when it lands on their own community.
-    blocked: Vec<VertexId>,
 }
 
 /// Simulation state shared by the kernel closures across host threads.
@@ -213,50 +207,6 @@ fn lpa_gpu_typed<V: HashValue>(
     // iterations (the wave_end closures borrow it one launch at a time).
     let mut scratch: Vec<usize> = Vec::new();
 
-    // Frontier-mode host state. The worklist plays FLPA's queue: a move
-    // re-activates only the neighbours that could actually change next
-    // iteration (different community, or parked behind the Pick-Less
-    // gate), instead of dense mode's unconditional flag-clear of every
-    // neighbour. `queued` deduplicates pushes; `parked` records processed
-    // vertices whose label is provably *not* their neighbourhood argmax
-    // (a Pick-Less-blocked move), which must stay re-activatable even by
-    // a same-community move. See DESIGN.md for the equivalence argument.
-    let frontier = config.frontier;
-    let mut worklist: Vec<VertexId> = Vec::new();
-    let mut queued = vec![false; if frontier { n } else { 0 }];
-    let mut parked = vec![false; if frontier { n } else { 0 }];
-    // Shadow of the *dense* run's processed flags, advanced each
-    // iteration by the exact dense flag automaton: all of a launch's
-    // self-marks apply before its neighbour-clears, the thread launch
-    // flushes before the block launch, Cross-Check reverts last. The
-    // dense sweep's work set is "unprocessed" under these flags, so
-    // intersecting every frontier push with the shadow keeps the
-    // frontier a subset of the dense work set even across the
-    // launch-ordering subtlety (a thread-mover's clear of a high-degree
-    // neighbour is overwritten by that neighbour's own later block-launch
-    // self-mark — a re-activation the dense run genuinely loses). The
-    // automaton needs only the movers and reverts, which match the dense
-    // run's by induction.
-    let mut shadow: Vec<bool> = vec![false; if frontier { n } else { 0 }];
-    // Per-iteration harvests from the staged shards, split by launch so
-    // the shadow automaton can order their clears: vertices that staged a
-    // label move, and vertices the Pick-Less gate blocked.
-    let mut movers_low: Vec<VertexId> = Vec::new();
-    let mut movers_high: Vec<VertexId> = Vec::new();
-    let mut blocked_acc: Vec<VertexId> = Vec::new();
-    // The *dense* candidate partition of the current iteration (from the
-    // shadow flags) — the self-marks the automaton replays.
-    let mut dense_low: Vec<VertexId> = Vec::new();
-    let mut dense_high: Vec<VertexId> = Vec::new();
-    if frontier {
-        for v in 0..n as VertexId {
-            if g.degree(v) > 0 {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-    }
-
     if sink.is_enabled() {
         sink.span_begin(
             track::HOST,
@@ -267,48 +217,6 @@ fn lpa_gpu_typed<V: HashValue>(
     }
 
     for iter in 0..config.max_iterations {
-        // Candidate set. Dense: unprocessed, non-isolated vertices (vertex
-        // pruning); with pruning disabled, all non-isolated vertices.
-        // Frontier: last iteration's worklist, sorted ascending so the
-        // lane order matches the dense ascending scan exactly.
-        let (candidates, scanned) = if frontier {
-            worklist.sort_unstable();
-            for &v in &worklist {
-                queued[v as usize] = false;
-            }
-            let wl = std::mem::take(&mut worklist);
-            if wl.is_empty() {
-                // Nothing can change any more: report convergence without
-                // launching a final full sweep (the break runs before the
-                // `iterations` bump, so an empty *initial* frontier
-                // reports zero iterations).
-                converged = true;
-                break;
-            }
-            // The dense run's candidate partition this iteration, from the
-            // shadow flags — consumed by the end-of-iteration automaton
-            // replay (the self-marks, in launch order).
-            dense_low.clear();
-            dense_high.clear();
-            for v in 0..n as VertexId {
-                if !shadow[v as usize] && g.degree(v) > 0 {
-                    if g.degree(v) < config.switch_degree as usize {
-                        dense_low.push(v);
-                    } else {
-                        dense_high.push(v);
-                    }
-                }
-            }
-            let scanned = wl.len();
-            (wl, scanned)
-        } else {
-            let dense: Vec<VertexId> = (0..n as VertexId)
-                .filter(|&v| {
-                    (!config.pruning || !state.processed.get(v as usize)) && g.degree(v) > 0
-                })
-                .collect();
-            (dense, n)
-        };
         iterations = iter + 1;
         let pick_less = config.swap_mode.pick_less_on(iter);
         let do_cc = config.swap_mode.cross_check_on(iter);
@@ -318,35 +226,11 @@ fn lpa_gpu_typed<V: HashValue>(
             sink.span_begin(track::HOST, "iteration", t_iter, &[("iter", iter.into())]);
         }
 
-        // --- frontier compaction kernel (frontier mode only) ----------
-        // Models the device-side stream compaction that turns the raw
-        // re-activation list into a dense launch list: one lane per entry
-        // reads its processed flag, evaluates the keep predicate, and
-        // emits through a warp-aggregated ballot/popcount push (one
-        // atomic per warp, amortised to ALU cost). Every cycle charged
-        // inside the scope lands in the dedicated `frontier_compact`
-        // attribution component.
-        if frontier {
-            let st_compact = sched.launch_thread_per_item(
-                "kernel:compact",
-                stats.sim_cycles,
-                sink,
-                &candidates,
-                LaneShard::default,
-                |v, lane, _shard: &mut LaneShard| {
-                    let cost = &config.cost;
-                    lane.compact_scope(true);
-                    lane.global_read(cost, addr.processed + v as usize, Width::W32);
-                    lane.alu(cost, 1); // keep-predicate
-                    lane.alu(cost, 2); // ballot + popc + warp-aggregated emit
-                    lane.compact_scope(false);
-                },
-                |_, _shards| {},
-            );
-            stats.add(&st_compact);
-        }
-
-        let part = partition_candidates(g, candidates.into_iter(), config.switch_degree);
+        // Candidate set: unprocessed, non-isolated vertices (vertex
+        // pruning); with pruning disabled, all non-isolated vertices.
+        let candidates = (0..n as VertexId)
+            .filter(|&v| (!config.pruning || !state.processed.get(v as usize)) && g.degree(v) > 0);
+        let part = partition_candidates(g, candidates, config.switch_degree);
         let (low_n, high_n) = (part.low.len(), part.high.len());
         state.changed.store(0, Ordering::Relaxed);
 
@@ -361,9 +245,6 @@ fn lpa_gpu_typed<V: HashValue>(
                 process_vertex_thread(g, &state, v, pick_less, config, lane, shard, addr)
             },
             |_, shards| {
-                if frontier {
-                    harvest_frontier(shards, &mut movers_low, &mut blocked_acc);
-                }
                 state
                     .labels
                     .flush_shards(shards, |s| &mut s.labels, &mut scratch);
@@ -383,9 +264,6 @@ fn lpa_gpu_typed<V: HashValue>(
                 process_vertex_block(g, &state, v, pick_less, config, ctx, shard, addr)
             },
             |_, shards| {
-                if frontier {
-                    harvest_frontier(shards, &mut movers_high, &mut blocked_acc);
-                }
                 state
                     .labels
                     .flush_shards(shards, |s| &mut s.labels, &mut scratch);
@@ -402,26 +280,10 @@ fn lpa_gpu_typed<V: HashValue>(
         // pass touches only the few changed vertices — not worth
         // parallelising at the cost of the determinism argument.
         let cross_check = prev_labels.is_some();
-        let mut reverted: Vec<VertexId> = Vec::new();
         if let Some(prev) = prev_labels {
-            // Frontier mode already knows exactly which vertices changed
-            // (the staged-move harvest); dense mode scans all of |V|.
-            // Sorting makes the lists identical, so the Cross-Check
-            // kernel's serial lane order — which is semantics-bearing —
-            // matches between the two modes.
-            let changed_vertices: Vec<VertexId> = if frontier {
-                let mut m: Vec<VertexId> = movers_low
-                    .iter()
-                    .chain(movers_high.iter())
-                    .copied()
-                    .collect();
-                m.sort_unstable();
-                m
-            } else {
-                (0..n as VertexId)
-                    .filter(|&v| state.labels.get(v as usize) != prev[v as usize])
-                    .collect()
-            };
+            let changed_vertices: Vec<VertexId> = (0..n as VertexId)
+                .filter(|&v| state.labels.get(v as usize) != prev[v as usize])
+                .collect();
             let t_cc = stats.sim_cycles;
             if sink.is_enabled() {
                 sink.span_begin(
@@ -467,108 +329,19 @@ fn lpa_gpu_typed<V: HashValue>(
             if sink.is_enabled() {
                 sink.span_end(track::HOST, "cross_check", stats.sim_cycles, &[]);
             }
-            // Detect reverts while `prev` is in scope: a surviving mover
-            // keeps its staged c* != prev[v], so equality means the
-            // Cross-Check kernel wrote the old label back.
-            if frontier {
-                for &v in movers_low.iter().chain(movers_high.iter()) {
-                    if state.labels.get(v as usize) == prev[v as usize] {
-                        reverted.push(v);
-                    }
-                }
-            }
-        }
-
-        // --- frontier update (host, post Cross-Check) -----------------
-        // Builds next iteration's worklist from this iteration's
-        // committed outcome. A surviving move re-activates only the
-        // neighbours it could actually flip: those in a *different*
-        // community (the move changed their argmax race) or parked ones
-        // (their label already lost the race but Pick-Less blocked the
-        // fix). A reverted move is net-zero for everyone who saw only
-        // committed state, but dense mode still re-activates its whole
-        // neighbourhood — mirror that conservatively so multi-wave
-        // schedules (where a lane may have *seen* the transient label)
-        // stay covered too. Every push is additionally gated on the
-        // shadow flags: the dense run only reprocesses a vertex whose
-        // flag survives the launch-ordered set/clear interleaving, so a
-        // push the automaton says dense would lose must be dropped to
-        // keep the frontier a subset of the dense work set.
-        if frontier {
-            for x in part.low.iter().chain(part.high.iter()) {
-                parked[*x as usize] = false;
-            }
-            for x in blocked_acc.drain(..) {
-                parked[x as usize] = true;
-            }
-            // Replay the dense flag automaton: a launch applies all its
-            // self-marks before its movers' neighbour-clears, the thread
-            // launch flushes before the block launch, and Cross-Check
-            // reverts clear write-through last.
-            for &x in &dense_low {
-                shadow[x as usize] = true;
-            }
-            for &v in &movers_low {
-                for &j in g.neighbor_ids(v) {
-                    shadow[j as usize] = false;
-                }
-            }
-            for &x in &dense_high {
-                shadow[x as usize] = true;
-            }
-            for &v in &movers_high {
-                for &j in g.neighbor_ids(v) {
-                    shadow[j as usize] = false;
-                }
-            }
-            for &v in &reverted {
-                shadow[v as usize] = false;
-            }
-            reverted.sort_unstable();
-            for &v in movers_low.iter().chain(movers_high.iter()) {
-                let vu = v as usize;
-                if reverted.binary_search(&v).is_ok() {
-                    if !shadow[vu] && !queued[vu] {
-                        queued[vu] = true;
-                        worklist.push(v);
-                    }
-                    for &j in g.neighbor_ids(v) {
-                        let ju = j as usize;
-                        if !shadow[ju] && !queued[ju] {
-                            queued[ju] = true;
-                            worklist.push(j);
-                        }
-                    }
-                } else {
-                    let lv = state.labels.get(vu);
-                    for &j in g.neighbor_ids(v) {
-                        let ju = j as usize;
-                        if !shadow[ju] && (state.labels.get(ju) != lv || parked[ju]) && !queued[ju]
-                        {
-                            queued[ju] = true;
-                            worklist.push(j);
-                        }
-                    }
-                }
-            }
-            movers_low.clear();
-            movers_high.clear();
         }
 
         let changed = state.changed.load(Ordering::Relaxed);
         changed_per_iter.push(changed);
-        scanned_per_iter.push(scanned);
+        scanned_per_iter.push(n);
         if obs.is_enabled() {
             let snapshot = state.labels.snapshot();
-            obs.on_iteration(iter, changed, low_n + high_n, scanned, &snapshot);
+            obs.on_iteration(iter, changed, low_n + high_n, &snapshot);
         }
         if sink.is_enabled() {
             let active = low_n + high_n;
             sink.counter("dN", stats.sim_cycles, changed as f64);
             sink.counter("active_vertices", stats.sim_cycles, active as f64);
-            if frontier {
-                sink.counter("frontier_size", stats.sim_cycles, scanned as f64);
-            }
             sink.span_end(
                 track::HOST,
                 "iteration",
@@ -617,24 +390,6 @@ fn lpa_gpu_typed<V: HashValue>(
         scanned_per_iter,
         stats,
         staged_collisions,
-    }
-}
-
-/// Collect frontier bookkeeping out of a wave's shards *before* they are
-/// flushed: every staged label write is a mover, every Pick-Less-blocked
-/// vertex gets parked. Shards are visited in lane-chunk order, so the
-/// harvest is deterministic across host-thread counts (and both lists are
-/// sorted before use anyway).
-fn harvest_frontier(
-    shards: &mut [LaneShard],
-    movers: &mut Vec<VertexId>,
-    blocked: &mut Vec<VertexId>,
-) {
-    for s in shards.iter_mut() {
-        for &(i, _) in s.labels.iter() {
-            movers.push(i as VertexId);
-        }
-        blocked.append(&mut s.blocked);
     }
 }
 
@@ -730,13 +485,6 @@ fn process_vertex_thread<V: HashValue>(
                 shard.flag_clear.push(j as usize);
                 lane.global_write(cost, addr.processed + j as usize, Width::W32);
             }
-        } else if config.frontier && c_star != cur {
-            // Pick-Less blocked a wanted move: the host parks v so that a
-            // future neighbour move — even into v's own community —
-            // re-activates it. Host bookkeeping only; no cycles charged
-            // (dense mode's equivalent state lives in the already-charged
-            // processed flags).
-            shard.blocked.push(v);
         }
     }
 }
@@ -837,9 +585,6 @@ fn process_vertex_block<V: HashValue>(
                 clears.push(j as usize);
                 lane.global_write(&cost, addr.processed + j as usize, Width::W32);
             });
-        } else if config.frontier && c_star != cur {
-            // Same parking rule as the thread kernel.
-            shard.blocked.push(v);
         }
     }
 }
@@ -1069,120 +814,6 @@ mod tests {
             let r = lpa_gpu(&g, &LpaConfig::default().with_device(d).with_threads(1));
             assert!(same_partition(&r.labels, &truth));
         }
-    }
-
-    /// Single-wave config: the default device (A100-class) holds every
-    /// test graph in one wave, which is the regime where the narrowed
-    /// frontier rule is provably label-identical to the dense sweep
-    /// (multi-wave schedules change intra-iteration visibility with the
-    /// launch size, so `tiny`-device equality is not claimed).
-    fn acfg() -> LpaConfig {
-        LpaConfig::default().with_threads(1)
-    }
-
-    #[test]
-    fn frontier_matches_dense_exactly_across_swap_modes() {
-        let g = erdos_renyi(200, 600, 11);
-        for mode in [
-            SwapMode::Off,
-            SwapMode::CrossCheck { every: 2 },
-            SwapMode::PickLess { every: 4 },
-            SwapMode::PickLess { every: 1 },
-            SwapMode::Hybrid {
-                cc_every: 2,
-                pl_every: 3,
-            },
-        ] {
-            let dense = lpa_gpu(&g, &acfg().with_swap_mode(mode));
-            let front = lpa_gpu(&g, &acfg().with_swap_mode(mode).with_frontier(true));
-            assert_eq!(front.labels, dense.labels, "{mode:?}: labels diverged");
-            assert_eq!(front.converged, dense.converged, "{mode:?}");
-            // The frontier may detect a fixed point one iteration early:
-            // when nothing was re-activated it converges without the
-            // dense run's final ΔN = 0 confirmation sweep. Everything up
-            // to that sweep must match exactly.
-            let skipped_sweep = dense.iterations == front.iterations + 1
-                && dense.changed_per_iter.last() == Some(&0);
-            assert!(
-                front.iterations == dense.iterations || skipped_sweep,
-                "{mode:?}: iterations {} vs dense {}",
-                front.iterations,
-                dense.iterations
-            );
-            assert_eq!(
-                front.changed_per_iter[..],
-                dense.changed_per_iter[..front.changed_per_iter.len()],
-                "{mode:?}: ΔN series diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn frontier_reduces_simulated_cycles() {
-        // Throughput-bound regime (`tiny`): wave duration is dominated by
-        // warp work / issue width, so the frontier's smaller launches must
-        // beat the dense sweeps even after paying for the compaction
-        // kernel. caveman-4x8 is a perf-gate trio graph; the committed
-        // baseline shows ~29% here.
-        let g = caveman_weighted(4, 8, 0.5);
-        let tiny = LpaConfig::default()
-            .with_device(DeviceConfig::tiny())
-            .with_threads(1);
-        let dense = lpa_gpu(&g, &tiny);
-        let front = lpa_gpu(&g, &tiny.with_frontier(true));
-        assert_eq!(front.labels, dense.labels);
-        assert!(
-            (front.stats.sim_cycles as f64) < 0.8 * dense.stats.sim_cycles as f64,
-            "frontier {} vs dense {} sim cycles",
-            front.stats.sim_cycles,
-            dense.stats.sim_cycles
-        );
-        // The scan series collapses while dense stays pinned at |V|.
-        assert!(dense
-            .scanned_per_iter
-            .iter()
-            .all(|&s| s == g.num_vertices()));
-        assert!(
-            front.scanned_per_iter.iter().sum::<usize>()
-                < dense.scanned_per_iter.iter().sum::<usize>(),
-            "frontier scans {:?}",
-            front.scanned_per_iter
-        );
-        // The critical-path-bound A100 preset must also stay label-exact
-        // while scanning strictly less.
-        let dense_a = lpa_gpu(&g, &acfg());
-        let front_a = lpa_gpu(&g, &acfg().with_frontier(true));
-        assert_eq!(front_a.labels, dense_a.labels);
-        assert!(
-            front_a.scanned_per_iter.iter().sum::<usize>()
-                < dense_a.scanned_per_iter.iter().sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn empty_frontier_converges_without_a_sweep() {
-        // No edges: the initial worklist is empty, so frontier mode must
-        // report convergence without launching anything.
-        let g = nulpa_graph::Csr::empty(5);
-        let r = lpa_gpu(&g, &acfg().with_frontier(true));
-        assert!(r.converged);
-        assert_eq!(r.iterations, 0);
-        assert!(r.changed_per_iter.is_empty());
-        assert!(r.scanned_per_iter.is_empty());
-        assert_eq!(r.stats.sim_cycles, 0);
-        assert_eq!(r.labels, (0..5).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn frontier_runs_on_multi_wave_device_too() {
-        // `tiny` forces multiple waves per launch; frontier results need
-        // not be bit-identical to dense there, but must still be a valid
-        // high-quality labeling.
-        let g = caveman_weighted(4, 10, 0.5);
-        let truth = caveman_ground_truth(4, 10);
-        let r = lpa_gpu(&g, &cfg().with_frontier(true));
-        assert!(check_labels(&g, &r.labels).is_ok());
-        assert!(same_partition(&r.labels, &truth));
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn lpa_native_typed<V: HashValue>(
                 if obs.is_enabled() {
                     let snapshot: Vec<VertexId> =
                         labels.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-                    obs.on_iteration(iter, changed, active, n, &snapshot);
+                    obs.on_iteration(iter, changed, active, &snapshot);
                 }
                 if sink.is_enabled() {
                     let ts = now_us(&t0);
@@ -475,7 +475,7 @@ mod tests {
         // barrier; they must be released and joined, not left waiting.
         struct Bomb;
         impl IterObserver for Bomb {
-            fn on_iteration(&mut self, _: u32, _: usize, _: usize, _: usize, _: &[VertexId]) {
+            fn on_iteration(&mut self, _: u32, _: usize, _: usize, _: &[VertexId]) {
                 panic!("observer failed");
             }
         }

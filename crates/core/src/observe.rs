@@ -32,20 +32,9 @@ pub trait IterObserver {
     ///   net of Cross-Check reverts; matches `changed_per_iter`).
     /// * `active` — candidate vertices processed this iteration (the
     ///   pruned work set).
-    /// * `scanned` — vertices the iteration had to *inspect* to build
-    ///   that work set: |V| for a dense sweep (always, on the native and
-    ///   sequential backends), the worklist length for a simulator
-    ///   frontier iteration. `active <= scanned` always holds.
     /// * `labels` — the committed label of every vertex after the
     ///   iteration.
-    fn on_iteration(
-        &mut self,
-        iter: u32,
-        changed: usize,
-        active: usize,
-        scanned: usize,
-        labels: &[VertexId],
-    );
+    fn on_iteration(&mut self, iter: u32, changed: usize, active: usize, labels: &[VertexId]);
 }
 
 /// The do-nothing observer: reports disabled, so backends skip all
@@ -57,15 +46,7 @@ impl IterObserver for NullObserver {
     fn is_enabled(&self) -> bool {
         false
     }
-    fn on_iteration(
-        &mut self,
-        _iter: u32,
-        _changed: usize,
-        _active: usize,
-        _scanned: usize,
-        _labels: &[VertexId],
-    ) {
-    }
+    fn on_iteration(&mut self, _iter: u32, _changed: usize, _active: usize, _labels: &[VertexId]) {}
 }
 
 #[cfg(test)]
@@ -74,20 +55,12 @@ mod tests {
 
     /// Test helper: records every callback.
     pub(crate) struct Recorder {
-        pub calls: Vec<(u32, usize, usize, usize, Vec<VertexId>)>,
+        pub calls: Vec<(u32, usize, usize, Vec<VertexId>)>,
     }
 
     impl IterObserver for Recorder {
-        fn on_iteration(
-            &mut self,
-            iter: u32,
-            changed: usize,
-            active: usize,
-            scanned: usize,
-            labels: &[VertexId],
-        ) {
-            self.calls
-                .push((iter, changed, active, scanned, labels.to_vec()));
+        fn on_iteration(&mut self, iter: u32, changed: usize, active: usize, labels: &[VertexId]) {
+            self.calls.push((iter, changed, active, labels.to_vec()));
         }
     }
 

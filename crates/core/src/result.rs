@@ -15,10 +15,7 @@ pub struct LpaResult {
     /// Vertices whose label changed, per iteration (`ΔN` series).
     pub changed_per_iter: Vec<usize>,
     /// Vertices each iteration had to inspect to build its work set:
-    /// |V| per dense sweep (always, on the native and sequential
-    /// backends), the worklist length per simulator frontier iteration.
-    /// The simulator's frontier win is visible as this series collapsing
-    /// while `changed_per_iter` stays label-identical.
+    /// |V| per sweep on every backend.
     pub scanned_per_iter: Vec<usize>,
     /// Simulator statistics (zeroed for the native/sequential backends).
     pub stats: KernelStats,

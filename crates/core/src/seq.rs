@@ -310,7 +310,7 @@ fn lpa_seq_typed<V: HashValue>(
 
         changed_per_iter.push(changed);
         if obs.is_enabled() {
-            obs.on_iteration(iter, changed, active, n, &labels);
+            obs.on_iteration(iter, changed, active, &labels);
         }
         if sink.is_enabled() {
             let ts = t0.elapsed().as_micros() as u64;

@@ -14,7 +14,7 @@
 //! recursive-descent parser; [`summary`] reads trace files back for the
 //! `nulpa trace` subcommand). [`gate`] is the one baseline format and
 //! regression gate every CI check (cycles, host profile, quality,
-//! scaling, frontier) runs through.
+//! scaling) runs through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 
 use crate::profile::{KernelAgg, Profile};
 use crate::run::GraphProfile;
-use nulpa_obs::gate::Row;
+use nulpa_obs::gate::{Gate, Row, Rule};
 use nulpa_obs::json::{escape, fmt_f64};
 use nulpa_simt::Comp;
 use std::fmt::Write as _;
@@ -107,6 +107,30 @@ pub fn profile_to_json(p: &Profile) -> String {
     out
 }
 
+/// The perf gate over [`gate_row`]s: every cycle total and component may
+/// grow at most 5% over the baseline; attribution must stay conserved.
+/// The simulator is deterministic, so any drift is a real cost-model or
+/// algorithm change, not noise.
+pub const CYCLE_GATE: Gate = Gate {
+    name: "perf",
+    rules: &[
+        Rule::lower("sim_cycles", 0.05, 0.0),
+        Rule::lower("lane_cycles", 0.05, 0.0),
+        Rule::lower("idle_cycles", 0.05, 0.0),
+        Rule::lower("imbalance_cycles", 0.05, 0.0),
+        Rule::lower("stall_cycles", 0.05, 0.0),
+        Rule::lower("alu", 0.05, 0.0),
+        Rule::lower("global_near", 0.05, 0.0),
+        Rule::lower("global_far", 0.05, 0.0),
+        Rule::lower("atomic", 0.05, 0.0),
+        Rule::lower("probe_near", 0.05, 0.0),
+        Rule::lower("probe_far", 0.05, 0.0),
+        Rule::lower("shared", 0.05, 0.0),
+        Rule::lower("barrier", 0.05, 0.0),
+        Rule::exact("conserved"),
+    ],
+};
+
 /// The perf gate's row for one profile, keyed `graph/backend`: the total
 /// cycle ledger (`sim`, `lane`, `idle`, `imbalance`, `stall`), every
 /// component's cycles, and `conserved` (1 when attribution conserved).
@@ -183,6 +207,17 @@ mod tests {
         let comp = totals.get("components").expect("components");
         assert!(comp.get("alu").and_then(|v| v.as_u64()).is_some());
         assert!(!doc.get("timeline").unwrap().as_arr().unwrap().is_empty());
+    }
+
+    #[test]
+    fn cycle_gate_rules_every_component() {
+        for c in Comp::all() {
+            assert!(
+                CYCLE_GATE.rules.iter().any(|r| r.metric == c.label()),
+                "no perf-gate rule for component {}",
+                c.label()
+            );
+        }
     }
 
     #[test]

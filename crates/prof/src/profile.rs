@@ -67,14 +67,11 @@ impl KernelAgg {
 
     /// Off-chip memory cycles: global + probe traffic + atomics.
     pub fn mem_cycles(&self) -> u64 {
-        // Frontier compaction is dominated by its processed-flag reads,
-        // so its bundled cycles sit on the memory side of the roofline.
         self.comp.get(Comp::GlobalNear)
             + self.comp.get(Comp::GlobalFar)
             + self.comp.get(Comp::ProbeNear)
             + self.comp.get(Comp::ProbeFar)
             + self.comp.get(Comp::Atomic)
-            + self.comp.get(Comp::FrontierCompact)
     }
 
     /// On-chip compute cycles: ALU + shared memory.

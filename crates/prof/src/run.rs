@@ -22,12 +22,8 @@ pub struct BackendSpec {
 }
 
 /// The default backend matrix: the paper's A100 preset, the tiny
-/// multi-wave device, the shared-memory-tables ablation, the 64-bit
-/// datatype ablation, and the frontier (active-set) scheduling mode on
-/// both devices. The frontier rows are what the frontier gate compares
-/// against their dense counterparts: on the throughput-bound `tiny`
-/// device the compacted launches cut total simulated cycles by >25% on
-/// the caveman trio graph.
+/// multi-wave device, the shared-memory-tables ablation and the 64-bit
+/// datatype ablation.
 pub fn backends() -> Vec<BackendSpec> {
     vec![
         BackendSpec {
@@ -45,16 +41,6 @@ pub fn backends() -> Vec<BackendSpec> {
         BackendSpec {
             name: "a100-f64",
             config: LpaConfig::default().with_value_type(ValueType::F64),
-        },
-        BackendSpec {
-            name: "a100-frontier",
-            config: LpaConfig::default().with_frontier(true),
-        },
-        BackendSpec {
-            name: "tiny-frontier",
-            config: LpaConfig::default()
-                .with_device(DeviceConfig::tiny())
-                .with_frontier(true),
         },
     ]
 }

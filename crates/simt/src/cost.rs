@@ -109,14 +109,10 @@ pub enum Comp {
     Shared = 6,
     /// Barrier alignment: cycles a lane waited at `__syncthreads()`.
     Barrier = 7,
-    /// Frontier compaction: every cycle charged while a lane runs the
-    /// sparse-frontier compaction kernel (flag reads, predicate ALU, and
-    /// the warp-aggregated emit), regardless of operation kind.
-    FrontierCompact = 8,
 }
 
 /// Number of [`Comp`] variants (length of a [`CompCycles`] array).
-pub const NUM_COMPS: usize = 9;
+pub const NUM_COMPS: usize = 8;
 
 impl Comp {
     /// All components, in display order.
@@ -130,7 +126,6 @@ impl Comp {
             Comp::ProbeFar,
             Comp::Shared,
             Comp::Barrier,
-            Comp::FrontierCompact,
         ]
     }
 
@@ -145,7 +140,6 @@ impl Comp {
             Comp::ProbeFar => "probe_far",
             Comp::Shared => "shared",
             Comp::Barrier => "barrier",
-            Comp::FrontierCompact => "frontier_compact",
         }
     }
 }
@@ -215,9 +209,6 @@ pub struct LaneMeter {
     /// Whether the lane is currently inside a probe sequence (see
     /// [`LaneMeter::probe_scope`]).
     in_probe: bool,
-    /// Whether the lane is currently inside the frontier-compaction
-    /// kernel (see [`LaneMeter::compact_scope`]).
-    in_compact: bool,
 }
 
 impl LaneMeter {
@@ -226,15 +217,9 @@ impl LaneMeter {
         Self::default()
     }
 
-    /// Attribute `cycles` to `comp`. Inside a compact scope every charge
-    /// belongs to [`Comp::FrontierCompact`] instead.
+    /// Attribute `cycles` to `comp`.
     #[inline]
     pub(crate) fn tag(&mut self, comp: Comp, cycles: u64) {
-        let comp = if self.in_compact {
-            Comp::FrontierCompact
-        } else {
-            comp
-        };
         self.comp.add(comp, cycles);
     }
 
@@ -242,15 +227,11 @@ impl LaneMeter {
     /// global/probe component from the hit flag and the probe scope.
     #[inline]
     fn tag_mem(&mut self, near: bool, cycles: u64) {
-        let comp = if self.in_compact {
-            Comp::FrontierCompact
-        } else {
-            match (self.in_probe, near) {
-                (false, true) => Comp::GlobalNear,
-                (false, false) => Comp::GlobalFar,
-                (true, true) => Comp::ProbeNear,
-                (true, false) => Comp::ProbeFar,
-            }
+        let comp = match (self.in_probe, near) {
+            (false, true) => Comp::GlobalNear,
+            (false, false) => Comp::GlobalFar,
+            (true, true) => Comp::ProbeNear,
+            (true, false) => Comp::ProbeFar,
         };
         self.comp.add(comp, cycles);
     }
@@ -263,16 +244,6 @@ impl LaneMeter {
     #[inline]
     pub fn probe_scope(&mut self, on: bool) {
         self.in_probe = on;
-    }
-
-    /// Mark the start (`true`) / end (`false`) of the frontier-compaction
-    /// kernel. While set, *every* charge (memory, ALU, atomic, shared,
-    /// barrier) is attributed to [`Comp::FrontierCompact`], so the cost of
-    /// building the sparse active set is a separate line in the profiler's
-    /// tables. Cost-free in simulated cycles.
-    #[inline]
-    pub fn compact_scope(&mut self, on: bool) {
-        self.in_compact = on;
     }
 
     /// Charge `n` ALU operations.
@@ -518,24 +489,6 @@ mod tests {
         m.probe_scope(false);
         assert_eq!(m.comp.get(Comp::Atomic), m.cycles);
         assert_eq!(m.comp.get(Comp::ProbeFar), 0);
-    }
-
-    #[test]
-    fn compact_scope_reroutes_every_charge() {
-        let c = CostModel::default_gpu();
-        let mut m = LaneMeter::new();
-        m.compact_scope(true);
-        m.global_read(&c, 0, Width::W32);
-        m.alu(&c, 3);
-        m.atomic(&c, 5000, Width::W32);
-        m.probe_scope(true); // compact wins over probe scope
-        m.global_read(&c, 9000, Width::W32);
-        m.probe_scope(false);
-        m.compact_scope(false);
-        m.alu(&c, 1); // outside the scope again
-        assert_eq!(m.comp.get(Comp::FrontierCompact), m.cycles - c.alu);
-        assert_eq!(m.comp.get(Comp::Alu), c.alu);
-        assert_eq!(m.comp.total(), m.cycles);
     }
 
     #[test]

@@ -424,7 +424,6 @@ impl WaveScheduler {
                 ("probe_far", c.get(Comp::ProbeFar)),
                 ("shared", c.get(Comp::Shared)),
                 ("barrier", c.get(Comp::Barrier)),
-                ("frontier_compact", c.get(Comp::FrontierCompact)),
             ],
         );
     }

@@ -3,8 +3,8 @@
 //! [`ConvergenceRecorder`] implements [`nulpa_core::IterObserver`] and is
 //! attached through the backends' `_observed` entry points. After every
 //! committed iteration it records an [`IterationSample`]: ΔN, the
-//! active-vertex fraction (Traag & Šubelj's key frontier-scheduling
-//! signal — the fraction of vertices still being processed), the
+//! active-vertex fraction (the share of vertices the pruned sweep still
+//! processes), the
 //! community count and label entropy, and the modularity of the current
 //! labeling.
 //!
@@ -33,14 +33,8 @@ pub struct IterationSample {
     pub delta_n: usize,
     /// Candidate vertices processed (the pruned work set).
     pub active: usize,
-    /// `active / |V|` — the frontier-scheduling signal.
+    /// `active / |V|`.
     pub active_fraction: f64,
-    /// Vertices the iteration inspected to build the work set: |V| for a
-    /// dense sweep, the worklist length under `LpaConfig::frontier` on the
-    /// simulator (the native and sequential backends always sweep
-    /// densely). The frontier win is this column collapsing while
-    /// `delta_n` tracks the dense run.
-    pub scanned: usize,
     /// Distinct communities after the iteration.
     pub communities: usize,
     /// Shannon entropy (bits) of the community-size distribution.
@@ -171,14 +165,7 @@ impl<'g> ConvergenceRecorder<'g> {
 }
 
 impl IterObserver for ConvergenceRecorder<'_> {
-    fn on_iteration(
-        &mut self,
-        iter: u32,
-        changed: usize,
-        active: usize,
-        scanned: usize,
-        labels: &[VertexId],
-    ) {
+    fn on_iteration(&mut self, iter: u32, changed: usize, active: usize, labels: &[VertexId]) {
         assert_eq!(labels.len(), self.prev.len(), "label length mismatch");
         for (v, &label) in labels.iter().enumerate() {
             if label != self.prev[v] {
@@ -191,7 +178,6 @@ impl IterObserver for ConvergenceRecorder<'_> {
             delta_n: changed,
             active,
             active_fraction: active as f64 / n.max(1) as f64,
-            scanned,
             communities: self.communities,
             entropy_bits: self.current_entropy_bits(),
             modularity: self.current_modularity(),
@@ -221,7 +207,7 @@ mod tests {
             for l in labels.iter_mut() {
                 *l %= modulus;
             }
-            rec.on_iteration(round, n, n, n, &labels);
+            rec.on_iteration(round, n, n, &labels);
             let expect = modularity(&g, &labels);
             let got = rec.samples.last().unwrap().modularity;
             assert!(
@@ -286,7 +272,7 @@ mod tests {
             .build();
         let mut rec = ConvergenceRecorder::new(&g);
         let labels = vec![0, 0, 2, 2];
-        rec.on_iteration(0, 2, 4, 4, &labels);
+        rec.on_iteration(0, 2, 4, &labels);
         let expect = modularity(&g, &labels);
         let got = rec.samples[0].modularity;
         assert!((got - expect).abs() < 1e-12, "{got} vs {expect}");

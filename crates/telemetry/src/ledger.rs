@@ -118,12 +118,11 @@ impl RunRecord {
             }
             out.push_str(&format!(
                 "{{\"iter\":{},\"dN\":{},\"active\":{},\"active_fraction\":{},\
-                 \"scanned\":{},\"communities\":{},\"entropy_bits\":{},\"modularity\":{}}}",
+                 \"communities\":{},\"entropy_bits\":{},\"modularity\":{}}}",
                 s.iter,
                 s.delta_n,
                 s.active,
                 fmt_f64(s.active_fraction),
-                s.scanned,
                 s.communities,
                 fmt_f64(s.entropy_bits),
                 fmt_f64(s.modularity)
@@ -183,7 +182,6 @@ mod tests {
                 delta_n: 10,
                 active: 12,
                 active_fraction: 1.0,
-                scanned: 12,
                 communities: 2,
                 entropy_bits: 1.0,
                 modularity: 0.4286,

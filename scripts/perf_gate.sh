@@ -5,16 +5,17 @@
 # (key, metric, baseline, current, limit, verdict).
 #
 # 1. Simulated cycles: profiles the built-in graph trio across the
-#    profiling backend matrix, writes results/prof_current.json, and fails
-#    if any cycle total or component grew more than 5% over the committed
-#    results/prof_baseline.json, or conservation broke. The same binary
-#    checks the frontier floor: some -frontier backend must cut >= 25% of
-#    its dense counterpart's simulated cycles. Refresh the baseline with:
-#      cargo run --release -p nulpa-bench --bin profile_baseline
+#    profiling backend matrix, writes the current rows to
+#    results/prof_current.json, and fails if any cycle total or component
+#    grew more than 5% over the committed results/prof_baseline.json, or
+#    conservation broke. Refresh the baseline with:
+#      cargo run --release --bin nulpa -- profile --write-baseline results/prof_baseline.json
 . "$(dirname "$0")/lib.sh"
 
 step "perf gate: profiling backend matrix vs committed baseline"
-cargo run --release -p nulpa-bench --bin profile_baseline -- --check "$@"
+cargo run --release --bin nulpa -- profile \
+  --write-baseline results/prof_current.json --check results/prof_baseline.json "$@" \
+  > /dev/null
 
 # 2. Native thread scaling: the block-synchronous sweep must reach a
 #    1.15x speedup at 2 threads on a host with > 1 hardware thread, and

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Quality-regression gate. Runs the telemetered backend matrix (seq,
-# nu-lpa, nu-lpa-sim, plus the simulator's worklist mode
-# nu-lpa-sim-frontier) over the built-in graph trio via `nulpa stats`,
+# nu-lpa, nu-lpa-sim) over the built-in graph trio via `nulpa stats`,
 # appends the run records to the results/history.jsonl ledger, and checks
 # one `graph/backend` row per run against the committed `gate-v1`
 # results/telemetry_baseline.json with the shared gate

@@ -85,8 +85,8 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "detect",
-        "nulpa detect <graph> [--method M] [--threads N] [--frontier]\n              \
-         [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]",
+        "nulpa detect <graph> [--method M] [--threads N] [--output FILE] [--quality]\n              \
+         [--trace FILE] [--telemetry FILE]",
     ),
     (
         "partition",
@@ -110,7 +110,8 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "profile",
-        "nulpa profile [graph] [--json] [--backend NAME] [--telemetry FILE]   cycle-attribution profile\n  \
+        "nulpa profile [graph] [--json] [--backend NAME] [--check BASELINE]\n              \
+         [--write-baseline FILE] [--telemetry FILE]   cycle-attribution profile\n  \
          nulpa profile --host [graph] [--json] [--trace FILE] [--check BASELINE]\n              \
          [--write-baseline FILE] [--telemetry FILE]   host-parallel observatory",
     ),
@@ -130,7 +131,7 @@ fn usage() {
          --trace writes a Chrome/Perfetto trace of the last run's thread\n  \
          timelines; --check gates iterations, repair rate and imbalance\n  \
          against a committed baseline (results/hostprof_baseline.json).\n\n\
-         STATS: runs the seq / nu-lpa / nu-lpa-sim / nu-lpa-sim-frontier\n  \
+         STATS: runs the seq / nu-lpa / nu-lpa-sim\n  \
          backends with per-iteration convergence telemetry (dN, active\n  \
          fraction, entropy, modularity), wall-clock phase spans and heap\n  \
          accounting; --history appends run records to a JSONL ledger,\n  \
@@ -140,10 +141,6 @@ fn usage() {
          THREADS: --threads N (or NULPA_THREADS=N) sets the host threads\n  \
          loading a text edge list and driving nu-lpa / nu-lpa-sim; results\n  \
          are identical at any count.\n\n\
-         FRONTIER: --frontier switches nu-lpa-sim to worklist (active-set)\n  \
-         scheduling: only re-activated vertices are compacted and launched,\n  \
-         so simulated cycles scale with the frontier. Deterministic at any\n  \
-         thread count. nu-lpa's dense pruned sweep has no frontier mode.\n\n\
          TRACING: --trace x.jsonl writes a JSONL event stream; any other\n  \
          extension writes a Chrome trace-event file (open in Perfetto).\n  \
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
@@ -352,7 +349,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         }
     };
 
-    const BACKENDS: &[&str] = &["seq", "nu-lpa", "nu-lpa-sim", "nu-lpa-sim-frontier"];
+    const BACKENDS: &[&str] = &["seq", "nu-lpa", "nu-lpa-sim"];
     let backends: Vec<&str> = BACKENDS
         .iter()
         .copied()
@@ -477,17 +474,10 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
 
     let mut rec = ConvergenceRecorder::new(g);
     let mut sink = NullSink;
-    // The `nu-lpa-sim-frontier` row runs the simulator in worklist mode,
-    // so the quality gate also pins the frontier scheduler's modularity
-    // and the ledger records its collapsing `scanned` trajectory.
-    let (backend, cfg) = match backend.strip_suffix("-frontier") {
-        Some(base) => (base, cfg.with_frontier(true)),
-        None => (backend, *cfg),
-    };
     let result = match backend {
-        "seq" => lpa_seq_observed(g, &cfg, &mut sink, &mut rec),
-        "nu-lpa" => lpa_native_observed(g, &cfg, &mut sink, &mut rec),
-        "nu-lpa-sim" => lpa_gpu_observed(g, &cfg, &mut sink, &mut rec),
+        "seq" => lpa_seq_observed(g, cfg, &mut sink, &mut rec),
+        "nu-lpa" => lpa_native_observed(g, cfg, &mut sink, &mut rec),
+        "nu-lpa-sim" => lpa_gpu_observed(g, cfg, &mut sink, &mut rec),
         other => return Err(format!("stats: unknown backend `{other}`")),
     };
     let final_q = rec.final_modularity();
@@ -533,8 +523,8 @@ fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
         (None, _) => println!("  peak heap: unavailable (counting allocator not installed)"),
     }
     println!(
-        "  {:>4} {:>8} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
-        "iter", "dN", "active", "frac", "scanned", "comms", "entropy", "Q"
+        "  {:>4} {:>8} {:>8} {:>7} {:>7} {:>9} {:>9}",
+        "iter", "dN", "active", "frac", "comms", "entropy", "Q"
     );
     const MAX_ROWS: usize = 24;
     for (i, s) in r.trajectory.iter().enumerate() {
@@ -550,12 +540,11 @@ fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
             continue;
         }
         println!(
-            "  {:>4} {:>8} {:>8} {:>7.3} {:>8} {:>7} {:>9.3} {:>9.4}",
+            "  {:>4} {:>8} {:>8} {:>7.3} {:>7} {:>9.3} {:>9.4}",
             s.iter,
             s.delta_n,
             s.active,
             s.active_fraction,
-            s.scanned,
             s.communities,
             s.entropy_bits,
             s.modularity
@@ -587,8 +576,35 @@ fn quality_row(r: &nu_lpa::telemetry::RunRecord) -> Row {
     }
 }
 
+/// Methods `nulpa detect --method` runs.
+const DETECT_METHODS: &[&str] = &[
+    "nu-lpa",
+    "nu-lpa-sim",
+    "flpa",
+    "networkit",
+    "gunrock",
+    "louvain",
+    "leiden",
+    "gve-lpa",
+];
+
 fn cmd_detect(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("detect: missing graph path")?;
+    const VALUE_FLAGS: &[&str] = &[
+        "--method",
+        "--threads",
+        "--output",
+        "--trace",
+        "--telemetry",
+    ];
+    let (path, opts) = args.split_first().ok_or("detect: missing graph path")?;
+    let mut it = opts.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            it.next();
+        } else if a != "--quality" {
+            return Err(format!("detect: unknown option `{a}`"));
+        }
+    }
     // 0 = resolve from NULPA_THREADS / available parallelism
     let threads: usize = opt_value(args, "--threads")
         .map(|s| {
@@ -601,18 +617,16 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
     let telemetry_path = opt_value(args, "--telemetry");
     let method = opt_value(args, "--method").unwrap_or("nu-lpa");
+    if !DETECT_METHODS.contains(&method) {
+        return Err(format!(
+            "unknown method `{method}` (available: {})",
+            DETECT_METHODS.join(", ")
+        ));
+    }
     let output = opt_value(args, "--output");
     let quality = args.iter().any(|a| a == "--quality");
     let trace_path = opt_value(args, "--trace");
-    let frontier = args.iter().any(|a| a == "--frontier");
-    if frontier && method != "nu-lpa-sim" {
-        return Err(format!(
-            "--frontier: method `{method}` has no frontier mode (use nu-lpa-sim)"
-        ));
-    }
-    let cfg = LpaConfig::default()
-        .with_threads(threads)
-        .with_frontier(frontier);
+    let cfg = LpaConfig::default().with_threads(threads);
     cfg.validate()?;
     if trace_path.is_some() && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
         return Err(format!(
@@ -660,7 +674,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
             "louvain" => (louvain(&g, &LouvainConfig::default()).labels, None),
             "leiden" => (leiden(&g, &LeidenConfig::default()).labels, None),
             "gve-lpa" => (gve_lpa(&g, &GveLpaConfig::default()).labels, None),
-            other => return Err(format!("unknown method `{other}`")),
+            other => unreachable!("method `{other}` checked against DETECT_METHODS"),
         }
     };
     let elapsed = t0.elapsed();
@@ -993,16 +1007,19 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
 /// component breakdowns, a roofline summary and the per-SM occupancy
 /// timeline. Without a graph argument the built-in trio is profiled;
 /// `--backend NAME` restricts the backend matrix; `--json` prints the
-/// machine-readable report.
+/// machine-readable report; `--write-baseline`/`--check` drive the
+/// cycle gate ([`nu_lpa::prof::json::CYCLE_GATE`]).
 fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
     use nu_lpa::obs::meta::run_meta;
-    use nu_lpa::prof::{backends, json::report_to_json, profile_graph, render::render};
+    use nu_lpa::prof::json::{gate_row, report_to_json, CYCLE_GATE};
+    use nu_lpa::prof::{backends, profile_graph, render::render};
 
+    const VALUE_FLAGS: &[&str] = &["--backend", "--check", "--write-baseline", "--telemetry"];
     let json = args.iter().any(|a| a == "--json");
     let backend_filter = opt_value(args, "--backend");
     let telemetry_path = opt_value(args, "--telemetry");
-    let graph_path = positional(args, &["--backend", "--telemetry"]);
+    let graph_path = positional(args, VALUE_FLAGS);
     let graphs: Vec<(String, Csr)> = match graph_path {
         Some(p) => vec![(p.clone(), load_graph(p, 0)?)],
         None => nu_lpa::graph::gen::builtin_trio(),
@@ -1046,13 +1063,13 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
             profiles.push(gp);
         }
     }
+    let cfg = LpaConfig::default();
+    let meta = run_meta(&[
+        ("threads", resolve_threads(cfg.threads).to_string()),
+        ("device", cfg.device.preset_name()),
+        ("probe", cfg.probe.label().to_string()),
+    ]);
     if json {
-        let cfg = LpaConfig::default();
-        let meta = run_meta(&[
-            ("threads", resolve_threads(cfg.threads).to_string()),
-            ("device", cfg.device.preset_name()),
-            ("probe", cfg.probe.label().to_string()),
-        ]);
         println!("{}", report_to_json(&meta, &profiles));
     }
     if let Some(tp) = telemetry_path {
@@ -1067,7 +1084,8 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
             profiles.len()
         ));
     }
-    Ok(())
+    let rows: Vec<Row> = profiles.iter().map(gate_row).collect();
+    write_or_check_baseline(args, &CYCLE_GATE, &meta, &rows)
 }
 
 /// `nulpa sancheck`: run the shipped backends under the dynamic hazard
@@ -1096,11 +1114,6 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     let tiny = LpaConfig::default().with_device(DeviceConfig::tiny());
     let a100 = LpaConfig::default();
     let cc1 = tiny.with_swap_mode(SwapMode::CrossCheck { every: 1 });
-    // Frontier rows drive the sparse compact + re-activation launch path
-    // (including the `kernel:compact` reads) under the checker, on both a
-    // single-wave and a multi-wave device.
-    let tiny_f = tiny.with_frontier(true);
-    let a100_f = a100.with_frontier(true);
     type RunFn = Box<dyn Fn(&Csr) -> Vec<u32>>;
     let runs: Vec<(&str, RunFn)> = vec![
         (
@@ -1114,14 +1127,6 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
         (
             "nu-lpa-sim/tiny+cc1",
             Box::new(move |g| lpa_gpu(g, &cc1).labels),
-        ),
-        (
-            "nu-lpa-sim/tiny+frontier",
-            Box::new(move |g| lpa_gpu(g, &tiny_f).labels),
-        ),
-        (
-            "nu-lpa-sim/a100+frontier",
-            Box::new(move |g| lpa_gpu(g, &a100_f).labels),
         ),
         (
             "nu-lpa",

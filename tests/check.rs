@@ -75,7 +75,7 @@ fn json_report_parses_and_matches_schema() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let v = json::parse(stdout.trim()).expect("valid JSON report");
     assert_eq!(v.get("total_findings").unwrap().as_u64(), Some(0));
-    assert_eq!(v.get("kernels_checked").unwrap().as_u64(), Some(4));
+    assert_eq!(v.get("kernels_checked").unwrap().as_u64(), Some(3));
     assert!(v.get("facts_checked").unwrap().as_u64().unwrap() > 50);
     assert!(v.get("files_scanned").unwrap().as_u64().unwrap() > 20);
     assert_eq!(v.get("findings").unwrap().as_arr().unwrap().len(), 0);

@@ -122,30 +122,39 @@ fn detect_all_methods_run() {
     }
 }
 
-/// `--frontier` is a simulator mode: `nu-lpa` rejects it with exit 2
-/// like every other method, `nu-lpa-sim` runs it.
+/// An unknown `--method` is rejected (exit 2, naming the method) before
+/// the graph is opened: the path here does not exist.
 #[test]
-fn detect_frontier_only_on_the_simulator() {
-    let path = tmp("frontier.txt");
-    std::fs::write(&path, two_cliques_edge_list()).unwrap();
-    let detect = |method: &str| {
-        Command::new(BIN)
-            .args(["detect", path.to_str().unwrap(), "--method", method])
-            .arg("--frontier")
-            .output()
-            .unwrap()
-    };
-    let out = detect("nu-lpa");
+fn detect_rejects_an_unknown_method_before_loading() {
+    let out = Command::new(BIN)
+        .args(["detect", "no-such-graph.txt", "--method", "nu-lpa-gpu"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("has no frontier mode"), "{err}");
-    let out = detect("nu-lpa-sim");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 6);
+    assert!(err.contains("unknown method `nu-lpa-gpu`"), "{err}");
+    assert!(!err.contains("no-such-graph"), "{err}");
+}
+
+/// An option `detect` does not know is rejected (exit 2, naming it)
+/// before the graph is opened, so a retired flag never runs silently.
+#[test]
+fn detect_rejects_an_unknown_option() {
+    for flag in ["--worklist", "--qualty", "-x"] {
+        let out = Command::new(BIN)
+            .args([
+                "detect",
+                "no-such-graph.txt",
+                "--method",
+                "nu-lpa-sim",
+                flag,
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
 }
 
 /// A thread count above `MAX_THREADS` is a config error (exit 2), caught
@@ -504,8 +513,8 @@ fn stats_json_reports_all_backends() {
     let runs = doc.get("runs").unwrap().as_arr().unwrap();
     assert_eq!(
         runs.len(),
-        12,
-        "3 graphs x 4 backends (seq, nu-lpa, nu-lpa-sim, nu-lpa-sim-frontier)"
+        9,
+        "3 graphs x 3 backends (seq, nu-lpa, nu-lpa-sim)"
     );
     for run in runs {
         assert!(!run.get("trajectory").unwrap().as_arr().unwrap().is_empty());

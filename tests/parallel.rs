@@ -88,42 +88,6 @@ fn odd_thread_counts_match_too() {
 }
 
 #[test]
-fn frontier_mode_is_identical_across_thread_counts() {
-    // Worklist scheduling adds host-side state (worklists, parked set,
-    // shadow flags) fed from per-shard harvests; the harvest merge is in
-    // lane-chunk order, so every observable — including the frontier's
-    // per-iteration scanned counts — must stay bit-identical at any
-    // thread count, on both a single-wave and a multi-wave device.
-    let g = erdos_renyi(350, 1200, 17);
-    for (dname, device) in [
-        ("tiny", DeviceConfig::tiny()),
-        ("a100", DeviceConfig::a100()),
-    ] {
-        for mode in swap_modes() {
-            let cfg = LpaConfig::default()
-                .with_device(device)
-                .with_swap_mode(mode)
-                .with_frontier(true);
-            let serial = lpa_gpu(&g, &cfg.with_threads(1));
-            for threads in [3, 4] {
-                let parallel = lpa_gpu(&g, &cfg.with_threads(threads));
-                let ctx = format!("dev={dname} mode={mode:?} threads={threads}");
-                assert_eq!(serial.labels, parallel.labels, "labels: {ctx}");
-                assert_eq!(serial.stats, parallel.stats, "stats: {ctx}");
-                assert_eq!(
-                    serial.scanned_per_iter, parallel.scanned_per_iter,
-                    "scanned_per_iter: {ctx}"
-                );
-                assert_eq!(
-                    serial.changed_per_iter, parallel.changed_per_iter,
-                    "changed_per_iter: {ctx}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn native_is_identical_across_thread_counts() {
     // The native sweep splits every block over the lanes by contiguous
     // slices of the candidate list, so `--threads N` stays bit-identical

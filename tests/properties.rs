@@ -143,36 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn frontier_agrees_with_dense_sweeps(g in arb_graph(50, 120)) {
-        // Worklist scheduling is an execution-order optimisation, not an
-        // algorithm change: under every swap-mitigation mode the
-        // simulator's frontier run must land on its dense sweep's labels
-        // (the narrowed rule is label-identical on single-wave launches,
-        // and these graphs fit one A100 wave).
-        for mode in [
-            SwapMode::Off,
-            SwapMode::CrossCheck { every: 2 },
-            SwapMode::PickLess { every: 4 },
-            SwapMode::Hybrid { cc_every: 2, pl_every: 3 },
-        ] {
-            let dense = LpaConfig::default().with_swap_mode(mode).with_threads(1);
-            let front = dense.with_frontier(true);
-            let dg = lpa_gpu(&g, &dense);
-            let fg = lpa_gpu(&g, &front);
-            prop_assert_eq!(&fg.labels, &dg.labels, "gpu {:?}", mode);
-            // The frontier may only skip the dense run's trailing ΔN = 0
-            // confirmation sweep, nothing more.
-            prop_assert!(
-                fg.iterations == dg.iterations || fg.iterations + 1 == dg.iterations,
-                "gpu {:?}: {} vs {}", mode, fg.iterations, dg.iterations
-            );
-            prop_assert!(
-                (modularity(&g, &fg.labels) - modularity(&g, &dg.labels)).abs() < 1e-9
-            );
-        }
-    }
-
-    #[test]
     fn bucket_partition_is_disjoint_cover_on_any_graph(
         g in arb_graph(60, 150),
         low in 1u32..8,

@@ -384,10 +384,6 @@ fn shipped_backends_are_hazard_free() {
     ];
     let tiny = LpaConfig::default().with_device(DeviceConfig::tiny());
     let cc1 = tiny.with_swap_mode(SwapMode::CrossCheck { every: 1 });
-    // Frontier runs drive the sparse compact + re-activation launches
-    // (including `kernel:compact`) under the checker on both devices.
-    let tiny_f = tiny.with_frontier(true);
-    let a100_f = LpaConfig::default().with_frontier(true);
     for (i, g) in graphs.iter().enumerate() {
         for (name, report) in [
             ("sim/tiny", checked(|| drop(lpa_gpu(g, &tiny)))),
@@ -396,8 +392,6 @@ fn shipped_backends_are_hazard_free() {
                 checked(|| drop(lpa_gpu(g, &LpaConfig::default()))),
             ),
             ("sim/tiny+cc1", checked(|| drop(lpa_gpu(g, &cc1)))),
-            ("sim/tiny+frontier", checked(|| drop(lpa_gpu(g, &tiny_f)))),
-            ("sim/a100+frontier", checked(|| drop(lpa_gpu(g, &a100_f)))),
             (
                 "native",
                 checked(|| drop(lpa_native(g, &LpaConfig::default()))),
