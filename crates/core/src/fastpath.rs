@@ -2,11 +2,16 @@
 //! (DESIGN.md §10).
 //!
 //! Every vertex's pick is the label of maximum accumulated weight among
-//! its neighbours, taken from a dense per-thread `Vec` indexed by label
-//! and reset by generation stamp instead of clearing (`ScratchPad`).
-//! Weight ties go to the **first-touched** label — the first maximum in
-//! CSR neighbour order, GVE-LPA's strict pick — so the argmax is one
-//! strictly-greater scan over the distinct labels seen.
+//! its neighbours. Like ν-LPA's two kernels, it has two paths split by
+//! degree. A vertex of degree at most [`SMALL_PICK_DEGREE`] sums its
+//! labels in a fixed-size table on the stack, searched linearly (the
+//! thread-per-vertex kernel's small table). Any other vertex uses a dense
+//! per-thread `Vec` indexed by label and reset by generation stamp
+//! instead of clearing (`ScratchPad`). Both add the weights in CSR order
+//! from zero and break weight ties to the **first-touched** label — the
+//! first maximum in CSR neighbour order, GVE-LPA's strict pick — so the
+//! argmax is one strictly-greater scan over the distinct labels seen, and
+//! both paths pick the same label bit for bit.
 //!
 //! **Schedule.** An iteration's candidates are shuffled and cut into
 //! consecutive blocks of [`SWEEP_BLOCK`] candidates. Every pick in a
@@ -714,14 +719,61 @@ pub(crate) fn with_lanes<V: HashValue, R>(
     })
 }
 
-/// Compute one vertex's pick against the current labels: accumulate
-/// neighbour label weights into the dense scratch in CSR order, then
-/// take the first maximum in first-touched order (a strictly-greater
-/// scan of `touched`). The pick is a pure function of the label state.
+/// Largest degree whose pick comes from the small stack table
+/// (`small_table_label`) instead of the dense scratch. ν-LPA switches from
+/// thread- to block-per-vertex at degree 32; on the CPU the linear search
+/// pays only below that (the sweep over 4/8/16/32 is in EXPERIMENTS.md,
+/// "Low-degree picks from a small stack table").
+pub const SMALL_PICK_DEGREE: usize = 8;
+
+/// Compute one vertex's pick against the current labels: the heaviest
+/// neighbour label, from the small table or the dense scratch by degree,
+/// unless it is the vertex's own label (or, under `pick_less`, not
+/// smaller). The pick is a pure function of the label state.
 fn compute_pick<V: HashValue>(
     g: &Csr,
     v: VertexId,
     pick_less: bool,
+    labels: &[AtomicU32],
+    scratch: &mut ScratchPad<V>,
+) -> Option<VertexId> {
+    let c_star = if g.degree(v) <= SMALL_PICK_DEGREE {
+        small_table_label::<V>(g, v, labels)
+    } else {
+        scratch_label(g, v, labels, scratch)
+    }?;
+    let cur = labels[v as usize].load(Ordering::Relaxed);
+    (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
+}
+
+/// The heaviest neighbour label of a vertex of degree at most
+/// [`SMALL_PICK_DEGREE`]: sum its neighbours' weights per label in a
+/// stack table kept in first-touched order, searched linearly.
+fn small_table_label<V: HashValue>(g: &Csr, v: VertexId, labels: &[AtomicU32]) -> Option<VertexId> {
+    let mut keys = [0 as VertexId; SMALL_PICK_DEGREE];
+    let mut sums = [V::zero(); SMALL_PICK_DEGREE];
+    let mut len = 0;
+    for (j, w) in g.neighbors(v) {
+        if j == v {
+            continue;
+        }
+        let c = labels[j as usize].load(Ordering::Relaxed);
+        let i = keys[..len].iter().position(|&k| k == c).unwrap_or_else(|| {
+            keys[len] = c;
+            len += 1;
+            len - 1
+        });
+        sums[i] = sums[i].add(V::from_weight(w));
+    }
+    first_max(keys[..len].iter().copied().zip(sums[..len].iter().copied()))
+}
+
+/// The heaviest neighbour label of any vertex: sum its neighbours'
+/// weights per label into the dense scratch, recording each label in
+/// `touched` the first time it is seen.
+fn scratch_label<V: HashValue>(
+    g: &Csr,
+    v: VertexId,
     labels: &[AtomicU32],
     scratch: &mut ScratchPad<V>,
 ) -> Option<VertexId> {
@@ -739,22 +791,29 @@ fn compute_pick<V: HashValue>(
         }
         scratch.counts[ci] = scratch.counts[ci].add(V::from_weight(w));
     }
+    let counts = &scratch.counts;
+    first_max(scratch.touched.iter().map(|&c| (c, counts[c as usize])))
+}
+
+/// The first label of maximum weight among `(label, weight)` pairs in
+/// first-touched order: a strictly-greater scan, so a tie goes to the
+/// label seen first.
+#[inline]
+fn first_max<V: HashValue>(pairs: impl Iterator<Item = (VertexId, V)>) -> Option<VertexId> {
     let mut best: Option<(VertexId, V)> = None;
-    for &c in &scratch.touched {
-        let w = scratch.counts[c as usize];
+    for (c, w) in pairs {
         if best.is_none_or(|(_, bw)| w > bw) {
             best = Some((c, w));
         }
     }
-    let (c_star, _) = best?;
-    let cur = labels[v as usize].load(Ordering::Relaxed);
-    (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
+    best.map(|(c, _)| c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nulpa_graph::gen::{erdos_renyi, star};
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn bucket_partition_is_disjoint_cover() {
@@ -840,6 +899,67 @@ mod tests {
             .add_undirected_edge(0, 2, 1.5)
             .build();
         assert_eq!(compute_pick(&g, 0, false, &labels, &mut s), Some(1));
+        // Above the small table's degree the dense scratch picks, with the
+        // same rule: labels 9 and 8 both reach weight 2, 9 first.
+        let d = SMALL_PICK_DEGREE + 2;
+        let g = star(d + 1);
+        assert!(g.degree(0) > SMALL_PICK_DEGREE);
+        let labels: Vec<AtomicU32> = (0..=d as u32)
+            .map(|j| match j {
+                0 => 0,
+                1 | 3 => 9,
+                2 | 4 => 8,
+                _ => j + 20,
+            })
+            .map(AtomicU32::new)
+            .collect();
+        let mut s = ScratchPad::<f32>::new(d + 30);
+        assert_eq!(compute_pick(&g, 0, false, &labels, &mut s), Some(9));
+    }
+
+    /// A vertex 0 of degree `d` over neighbours drawn from `0..=d`:
+    /// repeats are parallel edges and a 0 is a self loop. Weights come
+    /// from a set small enough to tie and labels from a range small
+    /// enough to repeat.
+    fn random_neighbourhood(d: usize, rng: &mut impl Rng) -> (Csr, Vec<AtomicU32>) {
+        let n = d + 1;
+        let mut targets: Vec<VertexId> = (0..d).map(|_| rng.gen_range(0..n) as VertexId).collect();
+        targets.sort_unstable();
+        let weights = (0..d)
+            .map(|_| [0.5, 1.0, 1.5][rng.gen_range(0..3)])
+            .collect();
+        let mut offsets = vec![0, d];
+        offsets.resize(n + 1, d);
+        let g = Csr::from_raw(offsets, targets, weights);
+        let labels = (0..n)
+            .map(|_| AtomicU32::new(rng.gen_range(0..n.min(4)) as u32))
+            .collect();
+        (g, labels)
+    }
+
+    fn small_table_matches_scratch<V: HashValue>(seed: u64) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..400 {
+            for d in 0..=SMALL_PICK_DEGREE + 2 {
+                let (g, labels) = random_neighbourhood(d, &mut rng);
+                let case = (g.neighbor_ids(0), g.neighbor_weights(0), &labels);
+                let mut s = ScratchPad::<V>::new(g.num_vertices());
+                let dense = scratch_label(&g, 0, &labels, &mut s);
+                if d <= SMALL_PICK_DEGREE {
+                    let small = small_table_label::<V>(&g, 0, &labels);
+                    assert_eq!(small, dense, "degree {d}: {case:?}");
+                }
+                let cur = labels[0].load(Ordering::Relaxed);
+                let got = compute_pick(&g, 0, false, &labels, &mut s);
+                assert_eq!(got, dense.filter(|&c| c != cur), "degree {d}: {case:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_table_pick_matches_scratch_pick() {
+        small_table_matches_scratch::<f32>(7);
+        small_table_matches_scratch::<f64>(8);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Instrumented code in `nulpa-simt` and `nulpa-hashtab` calls these free
 //! functions (compiled in behind their `sancheck` cargo feature). Each
 //! hook starts with a single relaxed load of the global enabled flag, so
-//! an uninstalled checker costs one predictable branch per call site; the
-//! checker itself lives behind a mutex because hooks fire both from the
-//! single-threaded simulator and from rayon workers in the native
-//! backend.
+//! an uninstalled checker costs one predictable branch per call site. The
+//! hooks fire from the single-threaded simulator and from hashtable
+//! views; `nulpa-core`'s native backend calls none. The checker still
+//! lives behind a mutex because it is process-global and any thread, such
+//! as a concurrently running test, may reach it.
 
 use crate::checker::{Checker, CheckerConfig};
 use crate::report::SancheckReport;

@@ -40,12 +40,13 @@
 //! assert!(report.is_clean(), "{}", report.render());
 //! ```
 //!
-//! The checker is process-global (hooks fire from the simulator *and*
-//! from rayon worker threads in the native backend), guarded by an atomic
-//! enabled flag plus a mutex. When not installed, every hook is a single
-//! relaxed atomic load — the neutrality tests in the workspace root assert
-//! that an installed checker changes no observable result and that a
-//! disabled one costs nothing measurable.
+//! The checker is process-global, guarded by an atomic enabled flag plus
+//! a mutex. Its hooks fire from the single-threaded simulator and from
+//! hashtable views; the native backend (`nulpa-core`'s sweep, whose
+//! lanes are scoped `std::thread`s) calls none. When not installed, every
+//! hook is a single relaxed atomic load — the neutrality tests in the
+//! workspace root assert that an installed checker changes no observable
+//! result and that a disabled one costs nothing measurable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests (proptest): invariants that must hold
 //! for *any* graph, not just the fixtures.
 
+use nu_lpa::core::fastpath::SMALL_PICK_DEGREE;
 use nu_lpa::core::{
     bucket_partition, lpa_gpu, lpa_native, lpa_seq, BucketThresholds, LpaConfig, SwapMode,
     SWEEP_BLOCK,
@@ -23,6 +24,34 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = nu_lpa::graph:
                     .build()
             },
         )
+    })
+}
+
+/// Arbitrary small graph whose few hubs each have more than
+/// `SMALL_PICK_DEGREE` neighbours, among vertices of low degree: the hubs
+/// pick from the dense scratch, the rest from the small stack table.
+fn arb_hub_graph() -> impl Strategy<Value = Csr> {
+    let k = SMALL_PICK_DEGREE;
+    (4 * k..4 * k + 30).prop_flat_map(move |n| {
+        // A hub joins its spokes to consecutive non-hub vertices from
+        // `start`, so they are distinct and its degree exceeds `k`.
+        let hub = (
+            0..n as u32,
+            proptest::collection::vec(0.1f32..4.0, k + 1..2 * k + 2),
+        );
+        let hubs = proptest::collection::vec(hub, 1..4);
+        let rest = proptest::collection::vec((3..n as u32, 3..n as u32, 0.1f32..4.0), 0..n);
+        (hubs, rest).prop_map(move |(hubs, rest)| {
+            let others = n as u32 - 3;
+            let spokes = hubs.into_iter().enumerate().flat_map(|(h, (start, ws))| {
+                ws.into_iter()
+                    .zip(start..)
+                    .map(move |(w, j)| (h as u32, 3 + j % others, w))
+            });
+            GraphBuilder::new(n)
+                .add_undirected_edges(spokes.chain(rest).filter(|(u, v, _)| u != v))
+                .build()
+        })
     })
 }
 
@@ -179,14 +208,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn native_matches_sequential_reference_at_any_thread_count(g in arb_graph(50, 120)) {
+    fn native_matches_sequential_reference_at_any_thread_count(
+        g in arb_graph(50, 120),
+        hubs in arb_hub_graph(),
+    ) {
         // Exact oracle: `lpa_seq` is the one-thread definition of the
         // block-synchronous schedule, so the native backend's labels and
         // ΔN series must equal it at every thread count, under every
         // swap-mitigation mode. The unit-weight
         // copy makes weight ties — and so the tie-break — the common case.
-        let unit = unit_weights(&g);
-        for (weights, g) in [("random", &g), ("unit", &unit)] {
+        // The hub graph puts both pick paths (small table, dense scratch)
+        // into one run.
+        prop_assert!(hubs.degree(0) > SMALL_PICK_DEGREE);
+        let (unit, hubs_unit) = (unit_weights(&g), unit_weights(&hubs));
+        for (weights, g) in [
+            ("random", &g),
+            ("unit", &unit),
+            ("hub random", &hubs),
+            ("hub unit", &hubs_unit),
+        ] {
             assert_native_matches_seq(g, weights)?;
         }
     }
